@@ -19,8 +19,8 @@ namespace lambada::core {
 ///                .ReduceSum("v");
 ///
 /// A query is a linear chain of logical operators rooted at a scan. The
-/// planner (planner.h) turns it into a scan with pushed-down selection and
-/// projection plus a worker pipeline and a driver-side merge step.
+/// optimizer (optimizer.h) turns it into a scan with pushed-down selection
+/// and projection plus a worker pipeline and a driver-side merge step.
 class Query {
  public:
   /// Starts a query over all files matching the glob `pattern`

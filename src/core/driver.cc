@@ -64,6 +64,133 @@ sim::Async<Result<PatternListing>> ListPattern(cloud::S3Client* client,
   co_return out;
 }
 
+/// A compiled query plus the listings its fan-out needs.
+struct CompiledQuery {
+  PhysicalQuery physical;
+  PatternListing probe;
+  std::map<std::string, PatternListing> builds;  ///< By pattern.
+};
+
+/// The compile phase: expands the probe glob and every build relation's
+/// glob, assembles the optimizer's catalog when the query has build
+/// relations, and plans the query once. A zero-join query has nothing to
+/// cost, so it issues no stats-index lookups.
+sim::Async<Result<CompiledQuery>> Compile(cloud::Cloud* cloud,
+                                          cloud::S3Client* client,
+                                          cloud::MetadataCache* meta,
+                                          const Query& query,
+                                          const RunOptions& options) {
+  CompiledQuery out;
+  auto probe = co_await ListPattern(client, query.pattern(), meta);
+  if (!probe.ok()) co_return probe.status();
+  out.probe = *std::move(probe);
+  // The build listings feed the catalog and later drive build-file
+  // distribution.
+  for (const auto& op : query.ops()) {
+    if (op.kind != PlanOp::Kind::kJoin) continue;
+    const std::string& bp = op.join->build_pattern;
+    if (out.builds.count(bp) != 0) continue;
+    auto bl = co_await ListPattern(client, bp, meta);
+    if (!bl.ok()) co_return bl.status();
+    if (bl->files.empty()) {
+      co_return Status::NotFound("no build input files match " + bp);
+    }
+    out.builds.emplace(bp, *std::move(bl));
+  }
+
+  OptimizerOptions opt;
+  opt.tuning = options.tuning;
+  opt.strategy = options.join_strategy;
+  Catalog catalog;
+  if (!out.builds.empty()) {
+    // Assemble the optimizer's catalog: sizes from the listings; row
+    // counts and column bounds from the stats index when enabled. Floated
+    // filter columns are probed against every relation — lookups of
+    // columns a relation does not have simply miss.
+    std::set<std::string> filter_cols;
+    std::set<std::string> probe_cols;
+    std::map<std::string, std::set<std::string>> build_cols;
+    for (const auto& op : query.ops()) {
+      if (op.kind == PlanOp::Kind::kFilter && op.expr != nullptr) {
+        op.expr->CollectColumns(&filter_cols);
+      } else if (op.kind == PlanOp::Kind::kJoin) {
+        auto& bc = build_cols[op.join->build_pattern];
+        for (const auto& k : op.join->probe_keys) probe_cols.insert(k);
+        for (const auto& k : op.join->build_keys) bc.insert(k);
+        for (const auto& bop : op.join->build_ops) {
+          CollectOpColumns(bop, &bc);
+        }
+      }
+    }
+
+    StatsIndex stats(&cloud->ddb());
+    auto add_relation = [&](const std::string& pattern,
+                            const PatternListing& l,
+                            std::set<std::string> cols)
+        -> sim::Async<Status> {
+      RelationStats rs;
+      rs.bytes = static_cast<double>(l.total_bytes);
+      rs.files = static_cast<int64_t>(l.files.size());
+      if (options.use_stats_index) {
+        cols.insert(filter_cols.begin(), filter_cols.end());
+        std::set<std::string> listed;
+        for (const auto& f : l.files) listed.insert(f.key);
+        for (const auto& c : cols) {
+          auto lookup =
+              co_await stats.Lookup(cloud->driver_net(), l.dataset, c);
+          if (!lookup.ok()) {
+            if (lookup.status().IsNotFound()) continue;  // Not indexed.
+            co_return lookup.status();
+          }
+          engine::Interval iv;
+          double rows = 0;
+          bool any = false;
+          for (const auto& fb : *lookup) {
+            if (listed.find(fb.file_key) == listed.end()) continue;
+            if (!any) {
+              iv.lo = fb.min;
+              iv.hi = fb.max;
+            } else {
+              iv.lo = std::min(iv.lo, fb.min);
+              iv.hi = std::max(iv.hi, fb.max);
+            }
+            rows += static_cast<double>(fb.rows);
+            any = true;
+          }
+          if (!any) continue;
+          rs.columns[c] = iv;
+          // Virtual scaling applies to rows like it does to bytes.
+          rs.rows = std::max(rs.rows, rows * options.data_scale);
+        }
+      }
+      catalog.relations[pattern] = std::move(rs);
+      co_return Status::OK();
+    };
+    CO_RETURN_NOT_OK(
+        co_await add_relation(query.pattern(), out.probe, probe_cols));
+    for (const auto& [bp, bl] : out.builds) {
+      CO_RETURN_NOT_OK(co_await add_relation(bp, bl, build_cols[bp]));
+    }
+
+    // Fleet-size estimate for the broadcast alternative's cost; the final
+    // count is settled after pruning.
+    int est_workers =
+        options.num_workers > 0
+            ? options.num_workers
+            : static_cast<int>(
+                  (out.probe.files.size() +
+                   static_cast<size_t>(options.files_per_worker) - 1) /
+                  static_cast<size_t>(options.files_per_worker));
+    opt.workers = std::max(
+        1, std::min<int>(est_workers,
+                         static_cast<int>(out.probe.files.size())));
+  }
+  auto physical = OptimizeQuery(query, catalog, opt);
+  if (!physical.ok()) co_return physical.status();
+  out.physical = *std::move(physical);
+  co_return out;
+}
+
 }  // namespace
 
 Driver::Driver(cloud::Cloud* cloud, DriverOptions options)
@@ -217,143 +344,18 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
   }
   obs::Tracer* tr = tracer.get();
 
-  // ---- Compile (joins list their relations first, to build a catalog).
+  // ---- Compile. ----
   const uint64_t plan_span = obs::Begin(tr, 0, "driver", "plan");
   cloud::NetContext dnet = cloud_->driver_net();
   dnet.attribution = options.attribution;
   cloud::S3Client client(&cloud_->s3(), dnet);
-  bool has_join = false;
-  for (const auto& op : query.ops()) {
-    if (op.kind == PlanOp::Kind::kJoin) has_join = true;
-  }
-
-  Result<PhysicalQuery> physical = Status::Internal("not planned");
-  Result<PatternListing> probe_listing_or = Status::Internal("not listed");
-  std::map<std::string, PatternListing> build_listings;  // By pattern.
-  if (!has_join) {
-    // Single-table path: plan, then list (the original sequence).
-    physical = PlanQuery(query, options.tuning);
-    if (!physical.ok()) co_return physical.status();
-    // PlanQuery leaves explain_text empty; regenerate the single-table
-    // rendering so QueryReport::explain_text (and EXPLAIN ANALYZE) work
-    // uniformly. Pure host-side recomputation: no requests, no RNG.
-    OptimizerOptions explain_opt;
-    explain_opt.tuning = options.tuning;
-    auto explained = ExplainQuery(query, {}, explain_opt);
-    if (explained.ok()) physical->explain_text = *std::move(explained);
-    probe_listing_or =
-        co_await ListPattern(&client, physical->pattern, options_.meta_cache);
-    if (!probe_listing_or.ok()) co_return probe_listing_or.status();
-  } else {
-    // Join path: expand every relation's glob up front — the listings
-    // feed the optimizer's catalog and later drive build-file
-    // distribution.
-    probe_listing_or =
-        co_await ListPattern(&client, query.pattern(), options_.meta_cache);
-    if (!probe_listing_or.ok()) co_return probe_listing_or.status();
-    for (const auto& op : query.ops()) {
-      if (op.kind != PlanOp::Kind::kJoin) continue;
-      const std::string& bp = op.join->build_pattern;
-      if (build_listings.count(bp) != 0) continue;
-      auto bl = co_await ListPattern(&client, bp, options_.meta_cache);
-      if (!bl.ok()) co_return bl.status();
-      if (bl->files.empty()) {
-        co_return Status::NotFound("no build input files match " + bp);
-      }
-      build_listings.emplace(bp, *std::move(bl));
-    }
-
-    // Assemble the optimizer's catalog: sizes from the listings; row
-    // counts and column bounds from the stats index when enabled. Floated
-    // filter columns are probed against every relation — lookups of
-    // columns a relation does not have simply miss.
-    std::set<std::string> filter_cols;
-    std::set<std::string> probe_cols;
-    std::map<std::string, std::set<std::string>> build_cols;
-    for (const auto& op : query.ops()) {
-      if (op.kind == PlanOp::Kind::kFilter && op.expr != nullptr) {
-        op.expr->CollectColumns(&filter_cols);
-      } else if (op.kind == PlanOp::Kind::kJoin) {
-        auto& bc = build_cols[op.join->build_pattern];
-        for (const auto& k : op.join->probe_keys) probe_cols.insert(k);
-        for (const auto& k : op.join->build_keys) bc.insert(k);
-        for (const auto& bop : op.join->build_ops) {
-          CollectOpColumns(bop, &bc);
-        }
-      }
-    }
-
-    Catalog catalog;
-    StatsIndex stats(&cloud_->ddb());
-    auto add_relation = [&](const std::string& pattern,
-                            const PatternListing& l,
-                            std::set<std::string> cols)
-        -> sim::Async<Status> {
-      RelationStats rs;
-      rs.bytes = static_cast<double>(l.total_bytes);
-      rs.files = static_cast<int64_t>(l.files.size());
-      if (options.use_stats_index) {
-        cols.insert(filter_cols.begin(), filter_cols.end());
-        std::set<std::string> listed;
-        for (const auto& f : l.files) listed.insert(f.key);
-        for (const auto& c : cols) {
-          auto lookup =
-              co_await stats.Lookup(cloud_->driver_net(), l.dataset, c);
-          if (!lookup.ok()) {
-            if (lookup.status().IsNotFound()) continue;  // Not indexed.
-            co_return lookup.status();
-          }
-          engine::Interval iv;
-          double rows = 0;
-          bool any = false;
-          for (const auto& fb : *lookup) {
-            if (listed.find(fb.file_key) == listed.end()) continue;
-            if (!any) {
-              iv.lo = fb.min;
-              iv.hi = fb.max;
-            } else {
-              iv.lo = std::min(iv.lo, fb.min);
-              iv.hi = std::max(iv.hi, fb.max);
-            }
-            rows += static_cast<double>(fb.rows);
-            any = true;
-          }
-          if (!any) continue;
-          rs.columns[c] = iv;
-          // Virtual scaling applies to rows like it does to bytes.
-          rs.rows = std::max(rs.rows, rows * options.data_scale);
-        }
-      }
-      catalog.relations[pattern] = std::move(rs);
-      co_return Status::OK();
-    };
-    CO_RETURN_NOT_OK(co_await add_relation(query.pattern(),
-                                           *probe_listing_or, probe_cols));
-    for (const auto& [bp, bl] : build_listings) {
-      CO_RETURN_NOT_OK(co_await add_relation(bp, bl, build_cols[bp]));
-    }
-
-    // Fleet-size estimate for the broadcast alternative's cost; the final
-    // count is settled below, after pruning.
-    int est_workers =
-        options.num_workers > 0
-            ? options.num_workers
-            : static_cast<int>(
-                  (probe_listing_or->files.size() +
-                   static_cast<size_t>(options.files_per_worker) - 1) /
-                  static_cast<size_t>(options.files_per_worker));
-    est_workers = std::max(
-        1, std::min<int>(est_workers,
-                         static_cast<int>(probe_listing_or->files.size())));
-
-    OptimizerOptions opt;
-    opt.tuning = options.tuning;
-    opt.workers = est_workers;
-    opt.strategy = options.join_strategy;
-    physical = OptimizeQuery(query, catalog, opt);
-    if (!physical.ok()) co_return physical.status();
-  }
-  PatternListing& probe_listing = *probe_listing_or;
+  auto compiled =
+      co_await Compile(cloud_, &client, options_.meta_cache, query, options);
+  if (!compiled.ok()) co_return compiled.status();
+  PhysicalQuery* const physical = &compiled->physical;
+  const std::map<std::string, PatternListing>& build_listings =
+      compiled->builds;
+  PatternListing& probe_listing = compiled->probe;
   std::vector<engine::FileRef>& files = probe_listing.files;
   std::map<std::string, int64_t>& file_sizes = probe_listing.sizes;
   if (files.empty()) {
@@ -448,13 +450,6 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
   // ---- Plan the invocation tree (Section 4.2, generalized). ----
   TreeOptions topt;
   topt.depth = options_.invocation_tree_depth;
-  if (options_.invocation_batching < 0) {
-    // Unbatched payloads cannot carry a grandchild's inputs, so "never
-    // batch" clamps the tree to the explicit two-level layout.
-    topt.max_depth = 2;
-    if (topt.depth > 2) topt.depth = 2;
-  }
-  if (!options_.two_level_invocation) topt.depth = 1;
   const cloud::RegionProfile& region = cloud_->region();
   topt.cost.driver_invoke_latency_s = region.remote_invoke_latency_s;
   topt.cost.driver_rate_per_s = region.remote_client_rate_per_s;
@@ -464,10 +459,8 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
                              cloud_->faas().config().cold_init_cpu_s;
   const TreePlan tree =
       PlanInvocationTree(static_cast<uint32_t>(workers), topt);
-  const bool batched =
-      tree.depth() >= 2 &&
-      (options_.invocation_batching == 1 ||
-       (options_.invocation_batching == 0 && tree.depth() >= 3));
+  // Unbatched payloads cannot carry a grandchild's inputs.
+  const bool batched = tree.depth() >= 3;
   const std::string inputs_key = "plans/" + query_id + ".inputs";
 
   if (tr != nullptr) {

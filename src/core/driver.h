@@ -34,23 +34,16 @@ struct DriverOptions {
   std::string function_prefix = "lambada-w";
   /// Concurrent invocation threads (the paper uses 128, Section 4.2).
   int invoke_threads = 128;
-  /// Start workers through the invocation tree (Section 4.2) instead of
-  /// invoking every worker from the driver.
-  bool two_level_invocation = true;
-  /// Invocation-tree depth: 0 picks the depth with the best modeled
-  /// all-running time from the fleet size and the invoker profile
+  /// Invocation-tree depth (Section 4.2): 0 picks the depth with the best
+  /// modeled all-running time from the fleet size and the invoker profile
   /// (core/invocation_tree.h) — fleets of <= 4 workers stay driver-direct
   /// and two-level plans reproduce the historical sqrt grouping
-  /// byte-for-byte; 1..3 force a depth. Ignored when two_level_invocation
-  /// is false (always depth 1).
+  /// byte-for-byte; 1..3 force a depth, and 1 invokes every worker from
+  /// the driver. Trees deeper than two levels batch their invocations:
+  /// payloads carry a contiguous subtree ID range plus a pointer to the
+  /// per-worker input table in S3 instead of every child's explicit
+  /// WorkerInput; two-level trees keep their explicit payloads.
   int invocation_tree_depth = 0;
-  /// Invocation batching: payloads carry a contiguous subtree ID range
-  /// plus a pointer to the per-worker input table in S3 instead of every
-  /// child's explicit WorkerInput. 0 = auto (trees deeper than two levels
-  /// need it; two-level fleets keep their historical explicit payloads),
-  /// 1 = batch two-level fleets too, -1 = never (clamps the tree to two
-  /// levels).
-  int invocation_batching = 0;
   /// SQS long-poll wait per receive call.
   double result_poll_wait_s = 1.0;
   double query_timeout_s = 3600.0;

@@ -66,16 +66,16 @@ struct LogicalPlan {
 };
 
 /// Lowers a Query into the IR. Join-free queries come back with every op
-/// in relations[0].ops / tail (the planner's single-table path consumes
-/// the op chain directly and bypasses the optimizer entirely). For join
-/// queries this validates the shape the optimizer supports: row ops only
+/// in relations[0].ops / tail: the leading row ops, then — from the first
+/// Repartition on — the order-sensitive rest. For join queries this
+/// validates the shape the optimizer supports: row ops only
 /// before the first join and on build sides, filters-only between joins,
 /// no explicit exchanges, aggregate terminal up to trailing HAVING
 /// filters.
 Result<LogicalPlan> BuildLogicalPlan(const Query& query);
 
 // ---------------------------------------------------------------------------
-// Rewrite helpers shared by the planner and the optimizer
+// Rewrite helpers of the optimizer
 // ---------------------------------------------------------------------------
 
 /// Columns required by one op (its own expressions; a kJoin contributes

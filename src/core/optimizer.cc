@@ -324,9 +324,6 @@ bool Disjoint(const std::set<std::string>& a, const std::set<std::string>& b) {
 Result<PhysicalQuery> OptimizeQuery(const Query& query, const Catalog& catalog,
                                     const OptimizerOptions& options) {
   ASSIGN_OR_RETURN(LogicalPlan lp, BuildLogicalPlan(query));
-  if (lp.joins.empty()) {
-    return Status::Internal("OptimizeQuery requires at least one join");
-  }
   const size_t m = lp.joins.size();
   if (m > 63) return Status::NotImplemented("more than 63 joins");
 
@@ -711,8 +708,8 @@ Result<PhysicalQuery> OptimizeQuery(const Query& query, const Catalog& catalog,
   out.driver_ops = lp.having;
 
   // -- 6. Probe projection push-down over the assembled pipeline ------------
-  // Mirrors the single-join planner: any open build output means post-join
-  // references cannot be attributed to a side — scan everything.
+  // Any open build output means post-join references cannot be
+  // attributed to a side — scan everything.
   bool scan_all = false;
   for (const auto& e : edges) {
     if (!e.build_out.has_value()) scan_all = true;
@@ -756,7 +753,8 @@ Result<PhysicalQuery> OptimizeQuery(const Query& query, const Catalog& catalog,
   // -- 7. Explain text -------------------------------------------------------
   std::ostringstream ex;
   ex << "plan for " << out.pattern << "\n";
-  ex << "  scan probe=" << out.pattern;
+  // A zero-join plan has no probe side to name.
+  ex << (m == 0 ? "  scan " : "  scan probe=") << out.pattern;
   if (out.fragment.scan_filter != nullptr) {
     ex << " filter=" << out.fragment.scan_filter->ToString();
   }
@@ -831,60 +829,8 @@ Result<PhysicalQuery> OptimizeQuery(const Query& query, const Catalog& catalog,
 
 Result<std::string> ExplainQuery(const Query& query, const Catalog& catalog,
                                  const OptimizerOptions& options) {
-  bool has_join = false;
-  for (const auto& op : query.ops()) {
-    if (op.kind == PlanOp::Kind::kJoin) has_join = true;
-  }
-  if (has_join) {
-    ASSIGN_OR_RETURN(PhysicalQuery phys,
-                     OptimizeQuery(query, catalog, options));
-    return phys.explain_text;
-  }
-  ASSIGN_OR_RETURN(PhysicalQuery phys, PlanQuery(query, options.tuning));
-  std::ostringstream ex;
-  ex << "plan for " << phys.pattern << "\n";
-  ex << "  scan " << phys.pattern;
-  if (phys.fragment.scan_filter != nullptr) {
-    ex << " filter=" << phys.fragment.scan_filter->ToString();
-  }
-  ex << " projection=["
-     << (phys.fragment.scan_projection.empty()
-             ? "*"
-             : JoinNames(phys.fragment.scan_projection))
-     << "]\n";
-  for (const PlanOp& op : phys.fragment.ops) {
-    switch (op.kind) {
-      case PlanOp::Kind::kFilter:
-        ex << "  filter " << op.expr->ToString() << "\n";
-        break;
-      case PlanOp::Kind::kMap:
-        ex << "  map " << op.name << "=" << op.expr->ToString() << "\n";
-        break;
-      case PlanOp::Kind::kSelect:
-        ex << "  select [" << JoinNames(op.names) << "]\n";
-        break;
-      case PlanOp::Kind::kExchange:
-        ex << "  exchange keys=[" << JoinNames(op.exchange->keys)
-           << "] levels=" << op.exchange->levels << "\n";
-        break;
-      case PlanOp::Kind::kAggregate: {
-        ex << "  aggregate group=[" << JoinNames(op.group_by) << "] aggs=[";
-        for (size_t a = 0; a < op.aggs.size(); ++a) {
-          if (a > 0) ex << ", ";
-          ex << engine::AggKindName(op.aggs[a].kind) << " as "
-             << op.aggs[a].output_name;
-        }
-        ex << "]\n";
-        break;
-      }
-      default:
-        break;
-    }
-  }
-  for (const PlanOp& op : phys.driver_ops) {
-    ex << "  having " << op.expr->ToString() << "\n";
-  }
-  return ex.str();
+  ASSIGN_OR_RETURN(PhysicalQuery phys, OptimizeQuery(query, catalog, options));
+  return phys.explain_text;
 }
 
 }  // namespace lambada::core

@@ -14,10 +14,19 @@
 namespace lambada::core {
 
 // ---------------------------------------------------------------------------
-// The cost-based join optimizer
+// The cost-based optimizer: the one query planner
 // ---------------------------------------------------------------------------
 // Consumes the logical plan IR (core/logical_plan.h) and emits a physical
-// query. Decisions, in order:
+// query — the serverless-scope fragment plus its driver-scope finalization
+// (Section 3.2). A single-table query is the zero-join case of the same
+// plan: the join decisions below are no-ops for it. Rewrites, in order:
+//
+//  0. **Push-down and data-parallel aggregation.** Leading filters fold
+//     into each scan's predicate (row-group pruning via min/max stats plus
+//     the residual predicate); each scan reads only the columns referenced
+//     downstream; a terminal aggregate becomes worker-side partial
+//     aggregation plus a driver-side merge, and filters trailing it run in
+//     the driver scope (HAVING).
 //
 //  1. **Selection placement.** Filters floated between/after joins are
 //     pushed into the single relation whose columns they reference (build
@@ -79,16 +88,16 @@ struct OptimizerOptions {
   models::ExchangeTrafficParams traffic;
 };
 
-/// Compiles a join query into a physical plan (see file comment). The
-/// query must contain at least one JoinWith; the planner's single-table
-/// path (PlanQuery) handles the rest and never calls this.
+/// Compiles a query into a physical plan (see file comment). Without a
+/// catalog (`OptimizeQuery(q, {}, {})`) it keeps the query's join order and
+/// the partitioned strategy.
 Result<PhysicalQuery> OptimizeQuery(const Query& query, const Catalog& catalog,
                                     const OptimizerOptions& options);
 
 /// Renders the chosen plan as deterministic text (scan filters and
 /// projections, join order, per-join strategy decisions with both modeled
-/// costs, aggregate, HAVING). Works for join-free queries too, via the
-/// planner's single-table path. Backs Query::Explain() and SQL EXPLAIN.
+/// costs, aggregate, HAVING): PhysicalQuery::explain_text of the
+/// optimized plan. Backs Query::Explain() and SQL EXPLAIN.
 Result<std::string> ExplainQuery(const Query& query,
                                  const Catalog& catalog = {},
                                  const OptimizerOptions& options = {});

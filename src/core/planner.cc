@@ -1,10 +1,6 @@
 #include "core/planner.h"
 
 #include <algorithm>
-#include <vector>
-
-#include "core/logical_plan.h"
-#include "core/optimizer.h"
 
 namespace lambada::core {
 
@@ -17,67 +13,6 @@ int64_t AdaptiveChunkBytes(int64_t scan_bytes_per_worker, int connections) {
     chunk = std::min(chunk, std::max(kMinChunk, scan_bytes_per_worker / 8));
   }
   return std::clamp(chunk, kMinChunk, kSaturationBytes);
-}
-
-Result<PhysicalQuery> PlanQuery(const Query& query,
-                                const ScanTuning& tuning) {
-  const auto& ops = query.ops();
-  for (const auto& op : ops) {
-    if (op.kind == PlanOp::Kind::kJoin) {
-      // Join queries go through the cost-based optimizer. With no catalog
-      // it has nothing to cost, so it preserves the query's join order and
-      // partitioned strategy — the historical plan shape.
-      OptimizerOptions opt;
-      opt.tuning = tuning;
-      return OptimizeQuery(query, Catalog{}, opt);
-    }
-  }
-
-  // ---- Single-table query (the original plan shape). ----
-  PhysicalQuery out;
-  out.pattern = query.pattern();
-  out.fragment.tuning = tuning;
-
-  // An aggregate must be terminal, up to trailing HAVING filters, which
-  // run in the driver scope against the finalized result.
-  int agg_at = -1;
-  for (size_t i = 0; i < ops.size(); ++i) {
-    if (ops[i].kind == PlanOp::Kind::kAggregate) {
-      agg_at = static_cast<int>(i);
-      break;
-    }
-  }
-  std::vector<PlanOp> main_ops;
-  if (agg_at >= 0) {
-    for (size_t i = static_cast<size_t>(agg_at) + 1; i < ops.size(); ++i) {
-      if (ops[i].kind != PlanOp::Kind::kFilter) {
-        return Status::Invalid("Aggregate must be the final operator");
-      }
-      out.driver_ops.push_back(ops[i]);
-    }
-    main_ops.assign(ops.begin(),
-                    ops.begin() + static_cast<std::ptrdiff_t>(agg_at) + 1);
-  } else {
-    main_ops = ops;
-  }
-
-  // Selection push-down: fold leading filters into the scan predicate;
-  // projection push-down: read only columns referenced downstream.
-  size_t first_kept = 0;
-  out.fragment.scan_filter = FoldLeadingFilters(main_ops, &first_kept);
-  std::vector<PlanOp> kept(main_ops.begin() +
-                               static_cast<std::ptrdiff_t>(first_kept),
-                           main_ops.end());
-  out.fragment.scan_projection =
-      PushdownProjection(out.fragment.scan_filter, kept, {});
-  out.fragment.ops = std::move(kept);
-
-  if (out.fragment.EndsInAggregate()) {
-    out.has_final_aggregate = true;
-    out.final_group_by = out.fragment.ops.back().group_by;
-    out.final_aggs = out.fragment.ops.back().aggs;
-  }
-  return out;
 }
 
 }  // namespace lambada::core

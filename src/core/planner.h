@@ -1,11 +1,10 @@
 #ifndef LAMBADA_CORE_PLANNER_H_
 #define LAMBADA_CORE_PLANNER_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/status.h"
-#include "core/dataflow.h"
 #include "core/plan.h"
 
 namespace lambada::core {
@@ -37,7 +36,7 @@ struct JoinChoice {
   double broadcast_usd = 0;
 };
 
-/// The physical query produced by the planner: a serverless-scope fragment
+/// The physical query OptimizeQuery produces: a serverless-scope fragment
 /// (executed by every worker over its file subset) plus the driver-scope
 /// finalization (Section 3.2).
 struct PhysicalQuery {
@@ -60,26 +59,6 @@ struct PhysicalQuery {
   /// Deterministic plan rendering (see Query::Explain / SQL EXPLAIN).
   std::string explain_text;
 };
-
-/// Compiles a logical query into a physical one, applying the classic
-/// rewrites the paper's framework performs on its intermediate
-/// representation (Section 3.2):
-///  * selection push-down: leading filters move into the scan, where they
-///    both prune row groups via min/max statistics and run as the
-///    residual predicate;
-///  * projection push-down: only columns referenced anywhere downstream
-///    are read from storage;
-///  * data-parallel transformation: a terminal aggregate becomes
-///    worker-side partial aggregation plus driver-side merge (trailing
-///    filters after the aggregate run in the driver scope — HAVING);
-///  * join distribution: queries with one or more JoinWith ops are
-///    handed to the cost-based optimizer (core/optimizer.h), which
-///    orders the joins and picks a partitioned or broadcast exchange per
-///    join. Called without a catalog (as here), it preserves the query's
-///    join order and the partitioned strategy. Push-downs apply to each
-///    side's scan independently.
-Result<PhysicalQuery> PlanQuery(const Query& query,
-                                const ScanTuning& tuning = ScanTuning());
 
 /// Resolves an adaptive chunk ("request") size from table statistics — the
 /// Figure 7 tradeoff made into a rule. With one connection the request

@@ -1,7 +1,9 @@
 #include "core/worker.h"
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cloud/object_store.h"
@@ -86,26 +88,36 @@ engine::ScanOptions MakeScanOptions(const ScanTuning& tuning,
 }
 
 /// Scans `files` and streams every chunk through the row ops
-/// [ops_begin, ops_end) of `ops`, concatenating the survivors: one scan
-/// pipeline of a join fragment (the probe stage, or — with the JoinSpec's
-/// op list — the build side). Scan counters accumulate into `metrics`.
+/// [0, ops_end) of `ops`, concatenating the survivors: the leading stage
+/// of a fragment's pipeline, or — with a JoinSpec's op list — a join's
+/// build side. Row-op CPU is charged in one Compute after the scan, once
+/// the chunk sizes are known. Scan counters accumulate into `metrics`.
+///
+/// With `fused_agg` (a terminal aggregate directly after those row ops,
+/// as in Q1/Q6) the survivors stream into it instead, so aggregation stays
+/// inside the worker memory budget; the result is its partial state, and
+/// the scan span closes before the pipeline CPU is charged.
 sim::Async<Result<TableChunk>> RunScanPipeline(
     cloud::WorkerEnv& env, const std::vector<engine::FileRef>& files,
     engine::ScanOptions scan_options, const std::vector<PlanOp>& ops,
-    size_t ops_begin, size_t ops_end, const char* phase_label,
-    WorkerResultMetrics* metrics) {
-  // Scope a scan span over the whole pipeline; the per-row-group child
-  // spans created inside S3ParquetScan parent under it.
-  cloud::EnvSpan span(&env, "scan", phase_label);
+    size_t ops_end, const char* phase_label, WorkerResultMetrics* metrics,
+    const PlanOp* fused_agg = nullptr) {
+  std::optional<engine::HashAggregator> agg;
+  if (fused_agg != nullptr) agg.emplace(fused_agg->group_by, fused_agg->aggs);
+  // Scope a scan span over the pipeline; the per-row-group child spans
+  // created inside S3ParquetScan parent under it.
+  std::optional<cloud::EnvSpan> span(std::in_place, &env, "scan",
+                                     phase_label);
   std::vector<TableChunk> collected;
   int64_t collected_bytes = 0;
   auto sink = [&](const TableChunk& chunk) -> Status {
     TableChunk current = chunk;
-    for (size_t i = ops_begin; i < ops_end; ++i) {
+    for (size_t i = 0; i < ops_end; ++i) {
       auto next = ApplyRowOp(ops[i], std::move(current));
       if (!next.ok()) return next.status();
       current = *std::move(next);
     }
+    if (agg.has_value()) return agg->ConsumeInput(current);
     RETURN_NOT_OK(env.ReserveMemory(current.memory_bytes()));
     collected_bytes += current.memory_bytes();
     collected.push_back(std::move(current));
@@ -117,14 +129,18 @@ sim::Async<Result<TableChunk>> RunScanPipeline(
   if (!scan_stats.ok()) co_return scan_stats.status();
   env.RecordPhase(phase_label, scan_start);
   metrics->registry.Merge(scan_stats->registry);
-  if (span.id() != 0) {
-    env.tracer()->AddArg(span.id(), "rows", scan_stats->rows_emitted());
-    env.tracer()->AddArg(span.id(), "bytes", scan_stats->bytes_moved());
+  if (span->id() != 0) {
+    env.tracer()->AddArg(span->id(), "rows", scan_stats->rows_emitted());
+    env.tracer()->AddArg(span->id(), "bytes", scan_stats->bytes_moved());
   }
-  co_await env.Compute(static_cast<double>(scan_stats->rows_emitted()) *
-                       kRowOpCpuPerRow *
-                       static_cast<double>(ops_end - ops_begin) *
-                       env.data_scale);
+  const double rows = static_cast<double>(scan_stats->rows_emitted());
+  double cpu = rows * kRowOpCpuPerRow * static_cast<double>(ops_end);
+  if (agg.has_value()) {
+    span.reset();
+    cpu += rows * kAggCpuPerRow;
+  }
+  co_await env.Compute(cpu * env.data_scale);
+  if (agg.has_value()) co_return agg->PartialState();
   auto out = engine::ConcatChunks(collected);
   env.ReleaseMemory(collected_bytes);
   if (!out.ok()) co_return out.status();
@@ -151,56 +167,18 @@ void AddExchangeMetrics(WorkerResultMetrics* metrics,
           real_read);
 }
 
-/// Runs the tail of a fragment after its last pipeline breaker (exchange
-/// or join): the row ops [begin, ops.size()) and the optional terminal
-/// aggregate. A schema-less empty `current` — a worker that sent and
-/// received nothing — short-circuits to the empty terminal, since row ops
-/// cannot resolve their columns against no schema.
-sim::Async<Result<TableChunk>> RunPostOps(cloud::WorkerEnv& env,
-                                          const PlanFragment& fragment,
-                                          size_t begin,
-                                          TableChunk current) {
-  size_t end = fragment.ops.size();
-  bool aggregates = fragment.EndsInAggregate();
-  if (aggregates) --end;
-  if (current.num_columns() == 0) {
-    if (aggregates) {
-      const PlanOp& op = fragment.ops.back();
-      engine::HashAggregator agg(op.group_by, op.aggs);
-      co_return agg.PartialState();
-    }
-    co_return current;
-  }
-  for (size_t i = begin; i < end; ++i) {
-    co_await env.Compute(static_cast<double>(current.num_rows()) *
-                         kRowOpCpuPerRow * env.data_scale);
-    auto next = ApplyRowOp(fragment.ops[i], std::move(current));
-    if (!next.ok()) co_return next.status();
-    current = *std::move(next);
-  }
-  if (aggregates) {
-    const PlanOp& op = fragment.ops.back();
-    engine::HashAggregator agg(op.group_by, op.aggs);
-    co_await env.Compute(static_cast<double>(current.num_rows()) *
-                         kAggCpuPerRow * env.data_scale);
-    if (current.num_rows() > 0) {
-      CO_RETURN_NOT_OK(agg.ConsumeInput(current));
-    }
-    co_return agg.PartialState();
-  }
-  co_return current;
-}
-
-/// Executes a join fragment (Section 4.4 put to work, generalized to a
-/// chain of joins). The probe pipeline scans once; then, per kJoin op in
-/// fragment order: build pipeline (scan -> row ops), the join's exchanges
-/// for a partitioned join (build side first, then the probe side's
-/// pending kExchange — every worker uses this order, so the rounds line
-/// up across the fleet), or no exchange at all for a broadcast join
-/// (every worker holds the whole build relation), then the local hash
-/// join. Row ops between joins run on the current pipeline; a terminal
-/// aggregate produces the partial state.
-sim::Async<Result<TableChunk>> ExecuteJoinFragment(
+/// Executes the plan fragment over the worker's files and returns the
+/// worker's partial result chunk. The scan runs once, through the leading
+/// row ops; then the ops run in fragment order. A kExchange repartitions
+/// the current rows (Section 4.4). Per kJoin (Section 4.4 put to work,
+/// generalized to a chain of joins): build pipeline (scan -> row ops), the
+/// join's exchanges for a partitioned join (build side first, then the
+/// probe side's pending kExchange — every worker uses this order, so the
+/// rounds line up across the fleet), or no exchange at all for a
+/// broadcast join (every worker holds the whole build relation), then the
+/// local hash join. Row ops run on the current rows; a terminal aggregate
+/// produces the partial state.
+sim::Async<Result<TableChunk>> ExecuteFragment(
     cloud::WorkerEnv& env, const PlanFragment& fragment,
     const InvocationPayload& payload, WorkerResultMetrics* metrics) {
   const int p = static_cast<int>(payload.self.worker_id);
@@ -253,7 +231,7 @@ sim::Async<Result<TableChunk>> ExecuteJoinFragment(
     co_return out;
   };
 
-  // ---- Probe pipeline: scan through the leading row ops. ----
+  // ---- Scan through the leading row ops. ----
   size_t first_break = fragment.ops.size();
   for (size_t i = 0; i < fragment.ops.size(); ++i) {
     const PlanOp::Kind k = fragment.ops[i].kind;
@@ -263,13 +241,18 @@ sim::Async<Result<TableChunk>> ExecuteJoinFragment(
       break;
     }
   }
-  auto probe_local = co_await RunScanPipeline(
+  // A terminal aggregate right after them fuses into the scan sink.
+  const PlanOp* fused_agg =
+      first_break + 1 == fragment.ops.size() && fragment.EndsInAggregate()
+          ? &fragment.ops.back()
+          : nullptr;
+  auto scanned = co_await RunScanPipeline(
       env, payload.self.files,
       MakeScanOptions(fragment.tuning, fragment.scan_projection,
                       fragment.scan_filter),
-      fragment.ops, 0, first_break, "scan", metrics);
-  if (!probe_local.ok()) co_return probe_local.status();
-  TableChunk current = *std::move(probe_local);
+      fragment.ops, first_break, "scan", metrics, fused_agg);
+  if (!scanned.ok() || fused_agg != nullptr) co_return scanned;
+  TableChunk current = *std::move(scanned);
 
   size_t next_build = 0;               // Next join's build-file ordinal.
   const PlanOp* pending_exchange = nullptr;
@@ -325,8 +308,7 @@ sim::Async<Result<TableChunk>> ExecuteJoinFragment(
             env, *ordinal_files,
             MakeScanOptions(fragment.tuning, join.build_scan_projection,
                             join.build_scan_filter),
-            join.build_ops, 0, join.build_ops.size(), "scan-build",
-            metrics);
+            join.build_ops, join.build_ops.size(), "scan-build", metrics);
         if (!build_local.ok()) co_return build_local.status();
         TableChunk build_chunk = *std::move(build_local);
         if (partitioned) {
@@ -426,141 +408,10 @@ sim::Async<Result<TableChunk>> ExecuteJoinFragment(
         co_return agg.PartialState();
       }
       default:
-        co_return Status::Invalid("unexpected op in a join fragment");
+        co_return Status::Invalid("unexpected op in a fragment");
     }
   }
   co_return current;
-}
-
-/// Executes the plan fragment over the worker's files; returns the
-/// worker's partial result chunk.
-sim::Async<Result<TableChunk>> ExecuteFragment(
-    cloud::WorkerEnv& env, const PlanFragment& fragment,
-    const InvocationPayload& payload, WorkerResultMetrics* metrics) {
-  // Join fragments take the join path; the single-table pipeline below is
-  // untouched.
-  if (fragment.JoinIndex() >= 0) {
-    co_return co_await ExecuteJoinFragment(env, fragment, payload, metrics);
-  }
-  // Split the pipeline at the exchange (a pipeline breaker).
-  int exchange_at = -1;
-  for (size_t i = 0; i < fragment.ops.size(); ++i) {
-    if (fragment.ops[i].kind == PlanOp::Kind::kExchange) {
-      if (exchange_at >= 0) {
-        co_return Status::NotImplemented(
-            "multiple exchanges in one fragment");
-      }
-      exchange_at = static_cast<int>(i);
-    }
-  }
-  size_t stage1_end = exchange_at >= 0 ? static_cast<size_t>(exchange_at)
-                                       : fragment.ops.size();
-  // A terminal aggregate in stage 1 (no exchange after it)?
-  bool stage1_aggregates = exchange_at < 0 && fragment.EndsInAggregate();
-  if (stage1_aggregates) --stage1_end;
-
-  std::unique_ptr<engine::HashAggregator> agg;
-  if (stage1_aggregates) {
-    const PlanOp& op = fragment.ops.back();
-    agg = std::make_unique<engine::HashAggregator>(op.group_by, op.aggs);
-  }
-  std::vector<TableChunk> collected;
-  int64_t collected_bytes = 0;
-
-  engine::ScanOptions scan_options = MakeScanOptions(
-      fragment.tuning, fragment.scan_projection, fragment.scan_filter);
-
-  // The fused pipeline: row ops + terminal consumer, run per scanned
-  // chunk. CPU for these stages is charged after the scan completes
-  // (chunk sizes are known then); the dominant in-scan costs
-  // (decompression, residual filter) are charged inside the scan.
-  Status pipeline_status = Status::OK();
-  auto sink = [&](const TableChunk& chunk) -> Status {
-    TableChunk current = chunk;
-    for (size_t i = 0; i < stage1_end; ++i) {
-      auto next = ApplyRowOp(fragment.ops[i], std::move(current));
-      if (!next.ok()) return next.status();
-      current = *std::move(next);
-    }
-    if (agg != nullptr) {
-      return agg->ConsumeInput(current);
-    }
-    RETURN_NOT_OK(env.ReserveMemory(current.memory_bytes()));
-    collected_bytes += current.memory_bytes();
-    collected.push_back(std::move(current));
-    return Status::OK();
-  };
-
-  double scan_start = env.sim()->Now();
-  Result<engine::ScanStats> scan_stats = Status::Internal("scan not run");
-  {
-    cloud::EnvSpan scan_span(&env, "scan", "scan");
-    scan_stats = co_await engine::S3ParquetScan(
-        env, payload.self.files, scan_options, sink);
-    if (!scan_stats.ok()) co_return scan_stats.status();
-    if (scan_span.id() != 0) {
-      env.tracer()->AddArg(scan_span.id(), "rows",
-                           scan_stats->rows_emitted());
-      env.tracer()->AddArg(scan_span.id(), "bytes",
-                           scan_stats->bytes_moved());
-    }
-  }
-  env.RecordPhase("scan", scan_start);
-  metrics->registry.Merge(scan_stats->registry);
-  // Post-scan pipeline CPU (row ops + aggregation).
-  double pipeline_rows = static_cast<double>(scan_stats->rows_emitted());
-  double pipeline_cpu =
-      pipeline_rows * kRowOpCpuPerRow * static_cast<double>(stage1_end);
-  if (agg != nullptr) pipeline_cpu += pipeline_rows * kAggCpuPerRow;
-  co_await env.Compute(pipeline_cpu * env.data_scale);
-  if (!pipeline_status.ok()) co_return pipeline_status;
-
-  if (agg != nullptr) {
-    co_return agg->PartialState();
-  }
-
-  auto stage1_out = engine::ConcatChunks(collected);
-  env.ReleaseMemory(collected_bytes);
-  collected.clear();
-  if (!stage1_out.ok()) co_return stage1_out.status();
-  if (exchange_at < 0) {
-    co_return *std::move(stage1_out);
-  }
-
-  // ---- Exchange + stage 2 ----
-  const PlanOp& ex_op = fragment.ops[static_cast<size_t>(exchange_at)];
-  double ex_start = env.sim()->Now();
-  Result<TableChunk> exchanged = Status::Internal("exchange not run");
-  {
-    cloud::EnvSpan ex_span(&env, "exchange", "exchange");
-    if (ex_span.id() != 0) {
-      env.tracer()->AddArg(ex_span.id(), "exchange_id",
-                           ex_op.exchange->exchange_id);
-    }
-    ExchangeMetrics xm;
-    exchanged = co_await RunExchange(
-        env, *ex_op.exchange, static_cast<int>(payload.self.worker_id),
-        static_cast<int>(payload.total_workers), *std::move(stage1_out), &xm);
-    if (!exchanged.ok()) co_return exchanged.status();
-    AddExchangeMetrics(metrics, xm, env.data_scale);
-    if (ex_span.id() != 0) {
-      env.tracer()->AddArg(
-          ex_span.id(), "bytes_written",
-          static_cast<int64_t>(static_cast<double>(xm.bytes_written()) *
-                               env.data_scale));
-      env.tracer()->AddArg(
-          ex_span.id(), "bytes_read",
-          static_cast<int64_t>(static_cast<double>(xm.bytes_read()) *
-                               env.data_scale));
-      env.tracer()->AddArg(ex_span.id(), "puts", xm.put_requests());
-      env.tracer()->AddArg(ex_span.id(), "gets", xm.get_requests());
-    }
-  }
-  env.RecordPhase("exchange", ex_start);
-
-  co_return co_await RunPostOps(env, fragment,
-                                static_cast<size_t>(exchange_at) + 1,
-                                *std::move(exchanged));
 }
 
 /// Sends the (success or error) result message, spilling large payloads

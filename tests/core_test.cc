@@ -4,6 +4,8 @@
 
 #include <numeric>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "cloud/cloud.h"
 #include "common/rng.h"
@@ -14,11 +16,13 @@
 #include "core/optimizer.h"
 #include "core/plan.h"
 #include "core/planner.h"
+#include "core/sql.h"
 #include "core/worker.h"
 #include "engine/chunk_serde.h"
 #include "engine/partition.h"
 #include "exec/exec_context.h"
 #include "format/writer.h"
+#include "workload/tpch.h"
 
 namespace lambada::core {
 namespace {
@@ -274,7 +278,7 @@ TEST(PlannerTest, LeadingFiltersPushIntoScan) {
                .Filter(Col("a") >= Lit(1))
                .Filter(Col("b") < Lit(2))
                .Aggregate({}, {engine::Count("n")});
-  auto phys = PlanQuery(q);
+  auto phys = OptimizeQuery(q, {}, {});
   ASSERT_TRUE(phys.ok());
   ASSERT_NE(phys->fragment.scan_filter, nullptr);
   // Both filters folded into one conjunction.
@@ -291,7 +295,7 @@ TEST(PlannerTest, ProjectionPushdownCollectsReferencedColumns) {
                .Filter(Col("f") > Lit(0))
                .Map(Col("x") * Col("y"), "v")
                .ReduceSum("v");
-  auto phys = PlanQuery(q);
+  auto phys = OptimizeQuery(q, {}, {});
   ASSERT_TRUE(phys.ok());
   std::set<std::string> proj(phys->fragment.scan_projection.begin(),
                              phys->fragment.scan_projection.end());
@@ -305,11 +309,12 @@ TEST(PlannerTest, AggregateMustBeLast) {
   auto q = Query::FromParquet("s3://d/*.lpq")
                .Aggregate({}, {engine::Count("n")})
                .Map(Col("n") * Lit(2), "n2");
-  EXPECT_FALSE(PlanQuery(q).ok());
+  EXPECT_FALSE(OptimizeQuery(q, {}, {}).ok());
   // ...but trailing filters become driver-scope HAVING ops.
-  auto having = PlanQuery(Query::FromParquet("s3://d/*.lpq")
-                              .Aggregate({}, {engine::Count("n")})
-                              .Filter(Col("n") > Lit(0)));
+  auto having = OptimizeQuery(Query::FromParquet("s3://d/*.lpq")
+                                  .Aggregate({}, {engine::Count("n")})
+                                  .Filter(Col("n") > Lit(0)),
+                              {}, {});
   ASSERT_TRUE(having.ok()) << having.status().ToString();
   ASSERT_EQ(having->driver_ops.size(), 1u);
   EXPECT_EQ(having->driver_ops[0].kind, PlanOp::Kind::kFilter);
@@ -321,7 +326,7 @@ TEST(PlannerTest, FilterAfterMapStaysInPipeline) {
   auto q = Query::FromParquet("s3://d/*.lpq")
                .Map(Col("x") * Lit(2), "x2")
                .Filter(Col("x2") > Lit(10));
-  auto phys = PlanQuery(q);
+  auto phys = OptimizeQuery(q, {}, {});
   ASSERT_TRUE(phys.ok());
   EXPECT_EQ(phys->fragment.scan_filter, nullptr);
   ASSERT_EQ(phys->fragment.ops.size(), 2u);
@@ -339,7 +344,7 @@ TEST(PlannerTest, JoinInsertsTwoSidedExchange) {
                .JoinWith(build, {"l_orderkey"}, {"o_orderkey"})
                .Aggregate({"l_shipmode"},
                           {engine::Sum(Col("o_orderpriority"), "s")});
-  auto phys = PlanQuery(q);
+  auto phys = OptimizeQuery(q, {}, {});
   ASSERT_TRUE(phys.ok()) << phys.status().ToString();
   ASSERT_EQ(phys->build_inputs.size(), 1u);
   EXPECT_EQ(phys->build_inputs[0].pattern, "s3://d/orders/*.lpq");
@@ -377,7 +382,7 @@ TEST(PlannerTest, JoinWithoutClosedBuildOutputScansEverything) {
   auto q = Query::FromParquet("s3://d/li/*.lpq")
                .JoinWith(build, {"l_orderkey"}, {"o_orderkey"})
                .Aggregate({}, {engine::Sum(Col("o_totalprice"), "s")});
-  auto phys = PlanQuery(q);
+  auto phys = OptimizeQuery(q, {}, {});
   ASSERT_TRUE(phys.ok()) << phys.status().ToString();
   EXPECT_TRUE(phys->fragment.scan_projection.empty());
   const JoinSpec& join = *phys->fragment.ops[phys->fragment.JoinIndex()]
@@ -392,19 +397,21 @@ TEST(PlannerTest, JoinProvidedColumnsRespectJoinType) {
   // likewise stays attributable to the probe scan.
   auto build = Query::FromParquet("s3://d/dim/*.lpq")
                    .Select({Col("dg"), Col("w")}, {"dg", "w"});
-  auto semi = PlanQuery(Query::FromParquet("s3://d/t/*.lpq")
-                            .JoinWith(build, {"g"}, {"dg"},
-                                      engine::JoinType::kLeftSemi)
-                            .Aggregate({}, {engine::Sum(Col("w"), "s")}));
+  auto semi = OptimizeQuery(Query::FromParquet("s3://d/t/*.lpq")
+                                .JoinWith(build, {"g"}, {"dg"},
+                                          engine::JoinType::kLeftSemi)
+                                .Aggregate({}, {engine::Sum(Col("w"), "s")}),
+                            {}, {});
   ASSERT_TRUE(semi.ok()) << semi.status().ToString();
   std::set<std::string> semi_proj(semi->fragment.scan_projection.begin(),
                                   semi->fragment.scan_projection.end());
   EXPECT_EQ(semi_proj, (std::set<std::string>{"g", "w"}));
 
-  auto inner = PlanQuery(Query::FromParquet("s3://d/t/*.lpq")
-                             .JoinWith(build, {"g"}, {"dg"})
-                             .Aggregate({"dg"}, {engine::Sum(Col("w"),
-                                                             "s")}));
+  auto inner = OptimizeQuery(
+      Query::FromParquet("s3://d/t/*.lpq")
+          .JoinWith(build, {"g"}, {"dg"})
+          .Aggregate({"dg"}, {engine::Sum(Col("w"), "s")}),
+      {}, {});
   ASSERT_TRUE(inner.ok()) << inner.status().ToString();
   std::set<std::string> inner_proj(
       inner->fragment.scan_projection.begin(),
@@ -418,37 +425,105 @@ TEST(PlannerTest, JoinRejections) {
   auto build = Query::FromParquet("s3://d/b/*.lpq");
   // Two joins now plan as a chained fragment (the cost-based optimizer's
   // multi-join path).
-  auto two = PlanQuery(Query::FromParquet("s3://d/a/*.lpq")
-                           .JoinWith(build, {"k"}, {"k2"})
-                           .JoinWith(build, {"k"}, {"k2"}));
+  auto two = OptimizeQuery(Query::FromParquet("s3://d/a/*.lpq")
+                               .JoinWith(build, {"k"}, {"k2"})
+                               .JoinWith(build, {"k"}, {"k2"}),
+                           {}, {});
   ASSERT_TRUE(two.ok()) << two.status().ToString();
   EXPECT_EQ(two->fragment.JoinIndices().size(), 2u);
   ASSERT_EQ(two->build_inputs.size(), 2u);
   // Explicit repartition before the join.
-  EXPECT_FALSE(PlanQuery(Query::FromParquet("s3://d/a/*.lpq")
-                             .Repartition({"k"})
-                             .JoinWith(build, {"k"}, {"k2"}))
+  EXPECT_FALSE(OptimizeQuery(Query::FromParquet("s3://d/a/*.lpq")
+                                 .Repartition({"k"})
+                                 .JoinWith(build, {"k"}, {"k2"}),
+                             {}, {})
                    .ok());
   // Aggregating build side.
   EXPECT_FALSE(
-      PlanQuery(Query::FromParquet("s3://d/a/*.lpq")
-                    .JoinWith(build.Aggregate({}, {engine::Count("n")}),
-                              {"k"}, {"k2"}))
+      OptimizeQuery(Query::FromParquet("s3://d/a/*.lpq")
+                        .JoinWith(build.Aggregate({}, {engine::Count("n")}),
+                                  {"k"}, {"k2"}),
+                    {}, {})
           .ok());
   // Build-side Select that drops the build key.
   EXPECT_FALSE(
-      PlanQuery(Query::FromParquet("s3://d/a/*.lpq")
-                    .JoinWith(build.Select({Col("v")}, {"v"}), {"k"},
-                              {"k2"}))
+      OptimizeQuery(Query::FromParquet("s3://d/a/*.lpq")
+                        .JoinWith(build.Select({Col("v")}, {"v"}), {"k"},
+                                  {"k2"}),
+                    {}, {})
           .ok());
   // Probe-side Select that drops the probe key: caught at plan time, not
   // after the fleet is already running.
   EXPECT_FALSE(
-      PlanQuery(Query::FromParquet("s3://d/a/*.lpq")
-                    .Select({Col("v")}, {"v"})
-                    .JoinWith(build.Select({Col("k2")}, {"k2"}), {"k"},
-                              {"k2"}))
+      OptimizeQuery(Query::FromParquet("s3://d/a/*.lpq")
+                        .Select({Col("v")}, {"v"})
+                        .JoinWith(build.Select({Col("k2")}, {"k2"}), {"k"},
+                                  {"k2"}),
+                    {}, {})
           .ok());
+}
+
+// ---------------------------------------------------------------------------
+// Zero-join planner parity
+// ---------------------------------------------------------------------------
+
+/// Everything a zero-join plan ships or finalizes with: the serialized
+/// fragment (hex), the driver-scope ops, the final-aggregate specs and the
+/// EXPLAIN text.
+std::string RenderZeroJoinPlan(const std::string& name, const Query& q) {
+  std::ostringstream out;
+  out << "== " << name << "\n";
+  auto phys = OptimizeQuery(q, {}, {});
+  if (!phys.ok()) {
+    out << "error: " << phys.status().ToString() << "\n";
+    return out.str();
+  }
+  out << "pattern: " << phys->pattern << "\n";
+  out << "fragment:";
+  static const char kHex[] = "0123456789abcdef";
+  std::vector<uint8_t> bytes = phys->fragment.Serialize();
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    if (i % 32 == 0) out << "\n  ";
+    out << kHex[bytes[i] >> 4] << kHex[bytes[i] & 0xf];
+  }
+  out << "\n";
+  for (const PlanOp& op : phys->driver_ops) {
+    out << "driver_op: kind=" << static_cast<int>(op.kind) << " "
+        << op.expr->ToString() << "\n";
+  }
+  out << "final_aggregate: " << (phys->has_final_aggregate ? 1 : 0) << "\n";
+  for (const auto& g : phys->final_group_by) out << "  group " << g << "\n";
+  for (const auto& a : phys->final_aggs) {
+    out << "  agg " << engine::AggKindName(a.kind) << "("
+        << (a.input != nullptr ? a.input->ToString() : "*") << ") as "
+        << a.output_name << "\n";
+  }
+  out << "explain:\n" << phys->explain_text;
+  return out.str();
+}
+
+TEST(PlannerTest, ZeroJoinPlansMatchGolden) {
+  const std::string li = "s3://tpch/li/*.lpq";
+  auto having = ParseSql(
+      "SELECT g, SUM(x) AS s, COUNT(*) AS n FROM 's3://d/t/*' "
+      "WHERE x > 3 AND y < 7 GROUP BY g HAVING s > 5");
+  ASSERT_TRUE(having.ok()) << having.status().ToString();
+  auto plain = ParseSql("SELECT a, b + 1 AS b1 FROM 's3://d/t/*' WHERE a > 2");
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  const Query chain = Query::FromParquet("s3://d/t/*.lpq")
+                          .Filter(Col("f") > Lit(0))
+                          .Map(Col("x") * Col("y"), "v")
+                          .Repartition({"g"})
+                          .Filter(Col("v") < Lit(100))
+                          .Aggregate({"g"}, {engine::Sum(Col("v"), "s"),
+                                             engine::Count("n")});
+  std::string text;
+  text += RenderZeroJoinPlan("q1", workload::TpchQ1(li));
+  text += RenderZeroJoinPlan("q6", workload::TpchQ6(li));
+  text += RenderZeroJoinPlan("having", *having);
+  text += RenderZeroJoinPlan("plain_select", *plain);
+  text += RenderZeroJoinPlan("repartition_chain", chain);
+  ExpectMatchesGolden(text, "zero_join_plans.txt");
 }
 
 // ---------------------------------------------------------------------------
@@ -994,6 +1069,48 @@ TEST_F(DriverFixture, ExchangeToleratesFullyPrunedWorkers) {
               1e-6);
 }
 
+TEST_F(DriverFixture, TwoRepartitionsMatchReferenceAtAllThreadCounts) {
+  // Two exchanges in one zero-join fragment: repartition by g, derive a
+  // key, repartition by that key, then aggregate. Each worker thread count
+  // runs on its own deployment holding a copy of the fixture's table.
+  auto q = Query::FromParquet("s3://data/t/*.lpq")
+               .Repartition({"g"})
+               .Map(Col("x") * Lit(2.0), "x2")
+               .Map(Col("g") + Lit(1), "b")
+               .Repartition({"b"})
+               .Aggregate({"g"}, {engine::Sum(Col("x2"), "s"),
+                                  engine::Count("n")});
+  for (int threads : {1, 2, 8}) {
+    cloud::Cloud cloud;
+    ASSERT_TRUE(cloud.s3().CreateBucket("data").ok());
+    for (const auto& obj : cloud_->s3().ListDirect("data", "t/")) {
+      auto bytes = cloud_->s3().GetDirect("data", obj.key);
+      ASSERT_TRUE(bytes.ok());
+      ASSERT_TRUE(cloud.s3().PutDirect("data", obj.key, *bytes).ok());
+    }
+    DriverOptions dopts;
+    if (threads > 1) {
+      dopts.worker_exec = exec::ExecContext::Parallel(threads, 4096);
+    }
+    Driver driver(&cloud, dopts);
+    auto report = driver.RunToCompletion(q, RunOptions{});
+    ASSERT_TRUE(report.ok()) << threads << " threads: "
+                             << report.status().ToString();
+    EXPECT_EQ(report->workers, 4);
+    EXPECT_GT(report->fleet_metrics.counter(obs::Metric::kExchangeBytesWritten),
+              0);
+    const TableChunk& r = report->result;
+    ASSERT_EQ(r.num_rows(), 4u) << threads << " threads";
+    for (size_t i = 0; i < r.num_rows(); ++i) {
+      int64_t g = r.column(0).i64()[i];
+      EXPECT_NEAR(r.column(1).f64()[i], 2.0 * expected_sum_[g], 1e-6)
+          << threads << " threads, g=" << g;
+      EXPECT_EQ(r.column(2).i64()[i], expected_count_[g])
+          << threads << " threads, g=" << g;
+    }
+  }
+}
+
 TEST_F(DriverFixture, InnerJoinThroughTwoSidedExchange) {
   auto q = Query::FromParquet("s3://data/t/*.lpq")
                .JoinWith(DimQuery(), {"g"}, {"dg"})
@@ -1146,7 +1263,7 @@ TEST(InvocationTreeTest, AllWorkersStartAndInvocationIsSublinear) {
 TEST(InvocationTreeTest, DirectInvocationAlsoWorks) {
   cloud::Cloud cloud;
   DriverOptions dopts;
-  dopts.two_level_invocation = false;
+  dopts.invocation_tree_depth = 1;
   Driver driver(&cloud, dopts);
   ASSERT_TRUE(driver.Install().ok());
   ASSERT_TRUE(cloud.s3().CreateBucket("data").ok());

@@ -96,7 +96,7 @@ TEST(FailureTest, DriverRetriesThroughConcurrencyThrottling) {
   cfg.concurrency_limit = 4;
   cloud::Cloud cloud(cfg);
   DriverOptions dopts;
-  dopts.two_level_invocation = false;  // All 16 invokes from the driver.
+  dopts.invocation_tree_depth = 1;  // All 16 invokes from the driver.
   Driver driver(&cloud, dopts);
   ASSERT_TRUE(driver.Install().ok());
   UploadTable(cloud, "throttle/", 16, 2000);

@@ -1,11 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
+#include "test_util.h"
+
 #include <memory>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <string>
 
 #include "cloud/cloud.h"
@@ -24,31 +23,6 @@ namespace {
 
 using core::QueryReport;
 using core::RunOptions;
-
-// ---------------------------------------------------------------------------
-// Golden helpers. Goldens live in tests/golden/ and are byte-compared;
-// regenerate with LAMBADA_UPDATE_GOLDENS=1 after an intentional change.
-// ---------------------------------------------------------------------------
-
-std::string GoldenPath(const std::string& name) {
-  return std::string(LAMBADA_SOURCE_DIR) + "/tests/golden/" + name;
-}
-
-void ExpectMatchesGolden(const std::string& actual, const std::string& name) {
-  const std::string path = GoldenPath(name);
-  if (std::getenv("LAMBADA_UPDATE_GOLDENS") != nullptr) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << actual;
-    return;
-  }
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing golden " << path
-                         << " (regenerate with LAMBADA_UPDATE_GOLDENS=1)";
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_EQ(actual, buf.str()) << "golden mismatch: " << name;
-}
 
 // ---------------------------------------------------------------------------
 // Traced fleet harness: a fixed deployment + TPC-H load, the worker thread
