@@ -445,6 +445,117 @@ TEST(HashJoinTest, ParallelEqualsSequentialByteForByte) {
   }
 }
 
+// Nested-loop reference for HashJoin: probe-row order, matches of one
+// probe row in build-row order, semi joins keep a probe row once.
+TableChunk NestedLoopJoin(const TableChunk& probe,
+                          const std::vector<int>& probe_keys,
+                          const TableChunk& build,
+                          const std::vector<int>& build_keys, JoinType type) {
+  std::vector<Field> fields = probe.schema()->fields();
+  std::vector<size_t> build_cols;
+  if (type == JoinType::kInner) {
+    std::set<int> keys(build_keys.begin(), build_keys.end());
+    for (size_t c = 0; c < build.num_columns(); ++c) {
+      if (keys.count(static_cast<int>(c))) continue;
+      build_cols.push_back(c);
+      fields.push_back(build.schema()->field(c));
+    }
+  }
+  TableChunk out = TableChunk::Empty(std::make_shared<Schema>(fields));
+  for (size_t i = 0; i < probe.num_rows(); ++i) {
+    for (size_t r = 0; r < build.num_rows(); ++r) {
+      bool equal = true;
+      for (size_t k = 0; k < probe_keys.size() && equal; ++k) {
+        equal = probe.column(static_cast<size_t>(probe_keys[k])).i64()[i] ==
+                build.column(static_cast<size_t>(build_keys[k])).i64()[r];
+      }
+      if (!equal) continue;
+      for (size_t c = 0; c < probe.num_columns(); ++c) {
+        out.mutable_column(c).AppendFrom(probe.column(c), i);
+      }
+      for (size_t c = 0; c < build_cols.size(); ++c) {
+        out.mutable_column(probe.num_columns() + c)
+            .AppendFrom(build.column(build_cols[c]), r);
+      }
+      if (type == JoinType::kLeftSemi) break;
+    }
+  }
+  // Re-wrap so num_rows() reflects the appended rows.
+  std::vector<Column> cols = out.columns();
+  return TableChunk(out.schema(), std::move(cols));
+}
+
+TEST(HashJoinTest, CollidingAndDuplicateKeysMatchNestedLoop) {
+  // Two-column keys (a, b). Pairs with b = HashRow(a) ^ kPin all hash to
+  // the same 64-bit value (the row hash folds the second column into the
+  // mix of the first), so they share one table entry and only the exact
+  // key comparison tells them apart. The other keys are dense and
+  // duplicated, and the build side is large enough that the table runs
+  // near half full, so probe runs wrap past the end of the slot array.
+  constexpr uint64_t kPin = 0x5eed5eed5eed5eedULL;
+  auto pinned_b = [&](int64_t a) {
+    TableChunk one(std::make_shared<Schema>(
+                       std::vector<Field>{{"a", DataType::kInt64}}),
+                   {Column::Int64({a})});
+    return static_cast<int64_t>(HashRow(one, {0}, 0) ^ kPin);
+  };
+  Rng rng(23);
+  const size_t n_build = 9000, n_probe = 12000;
+  std::vector<int64_t> ba(n_build), bb(n_build);
+  std::vector<double> bv(n_build);
+  for (size_t r = 0; r < n_build; ++r) {
+    if (r % 9 == 0) {
+      ba[r] = rng.UniformInt(0, 60);  // Colliding keys, some repeated.
+      bb[r] = pinned_b(ba[r]);
+    } else {
+      ba[r] = rng.UniformInt(0, 6000);  // Dense keys with duplicates.
+      bb[r] = ba[r] % 5;
+    }
+    bv[r] = static_cast<double>(r);
+  }
+  std::vector<int64_t> pa(n_probe), pb(n_probe), pv(n_probe);
+  for (size_t i = 0; i < n_probe; ++i) {
+    switch (i % 4) {
+      case 0:  // Colliding key; a > 60 shares the hash but never matches.
+        pa[i] = rng.UniformInt(0, 90);
+        pb[i] = pinned_b(pa[i]);
+        break;
+      case 1:  // Right a, wrong b: a miss on a populated neighbourhood.
+        pa[i] = rng.UniformInt(0, 6000);
+        pb[i] = pa[i] % 5 + 1;
+        break;
+      default:
+        pa[i] = rng.UniformInt(0, 7000);
+        pb[i] = pa[i] % 5;
+    }
+    pv[i] = static_cast<int64_t>(i);
+  }
+  TableChunk probe(std::make_shared<Schema>(std::vector<Field>{
+                       {"pa", DataType::kInt64},
+                       {"pb", DataType::kInt64},
+                       {"pv", DataType::kInt64}}),
+                   {Column::Int64(std::move(pa)), Column::Int64(std::move(pb)),
+                    Column::Int64(std::move(pv))});
+  TableChunk build(std::make_shared<Schema>(std::vector<Field>{
+                       {"ba", DataType::kInt64},
+                       {"bb", DataType::kInt64},
+                       {"bv", DataType::kFloat64}}),
+                   {Column::Int64(std::move(ba)), Column::Int64(std::move(bb)),
+                    Column::Float64(std::move(bv))});
+  for (JoinType type : {JoinType::kInner, JoinType::kLeftSemi}) {
+    auto expected =
+        SerializeChunk(NestedLoopJoin(probe, {0, 1}, build, {0, 1}, type));
+    for (int threads : {1, 2, 8}) {
+      auto joined = HashJoin(probe, {0, 1}, build, {0, 1}, type,
+                             exec::ExecContext::Parallel(threads, 1024));
+      ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+      EXPECT_GT(joined->num_rows(), 0u);
+      EXPECT_EQ(SerializeChunk(*joined), expected)
+          << JoinTypeName(type) << " at " << threads << " threads";
+    }
+  }
+}
+
 TEST(ChunkSerdeTest, RoundTrip) {
   TableChunk t = SampleChunk();
   auto bytes = SerializeChunk(t);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <ostream>
+
+#include <string>
 #include <vector>
 
 #include "sim/async.h"
@@ -56,6 +60,61 @@ TEST(SimulatorTest, RunUntilStopsAndAdvancesClock) {
   EXPECT_DOUBLE_EQ(sim.Now(), 2.0);
   sim.Run();
   EXPECT_EQ(fired, 2);
+}
+
+TEST(SimulatorTest, EqualTimesFireInSeqOrderAcrossLanes) {
+  // Events aimed at t=1 before the clock gets there wait in the time heap;
+  // events scheduled at Now() once the clock reads 1 join the same-time
+  // lane. Together they must fire in scheduling (seq) order.
+  Simulator sim;
+  std::vector<std::string> order;
+  sim.ScheduleAt(0.5, [&] {
+    order.push_back("h@0.5");
+    sim.ScheduleAt(1.0, [&] { order.push_back("heap-late@1"); });
+  });
+  sim.ScheduleAt(1.0, [&] {
+    order.push_back("a@1");
+    sim.ScheduleAt(1.0, [&] { order.push_back("now-1@1"); });
+    sim.ScheduleAfter(0, [&] {
+      order.push_back("now-2@1");
+      sim.ScheduleAfter(0, [&] { order.push_back("now-4@1"); });
+    });
+  });
+  sim.ScheduleAt(1.0, [&] {
+    order.push_back("b@1");
+    sim.ScheduleAfter(0, [&] { order.push_back("now-3@1"); });
+  });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<std::string>{
+                       "h@0.5", "a@1", "b@1", "heap-late@1", "now-1@1",
+                       "now-2@1", "now-3@1", "now-4@1"}));
+  EXPECT_TRUE(sim.empty());
+}
+
+TEST(SimulatorTest, RunUntilSeesBothLanes) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.ScheduleAt(0.0, [&] { order.push_back(0); });  // At Now().
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.RunUntil(0.0);
+  EXPECT_EQ(order, (std::vector<int>{0}));
+  sim.ScheduleAt(1.0, [&] {
+    order.push_back(1);
+    sim.ScheduleAfter(0, [&] { order.push_back(2); });
+    sim.ScheduleAfter(0.5, [&] { order.push_back(3); });
+    sim.ScheduleAfter(2.0, [&] { order.push_back(4); });
+  });
+  // The wakeup scheduled at t=1 from inside t=1 must not be left behind.
+  sim.RunUntil(1.0);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.RunUntil(2.0);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_DOUBLE_EQ(sim.Now(), 2.0);
+  EXPECT_FALSE(sim.empty());
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(sim.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -406,6 +465,86 @@ TEST(SharedLinkTest, PerConnectionCapLimitsSingleStream) {
   sim.Run();
   // Even with credits available, one connection gets at most 90 MiB/s.
   EXPECT_NEAR(done_at, 1.0, 1e-6);
+}
+
+// ---------------------------------------------------------------------------
+// Scripted arrivals: exact completion times
+// ---------------------------------------------------------------------------
+
+// Completion order and times of a fixed arrival script. The expected values
+// are bit-exact: any change to how the resources advance, reschedule or
+// wake their jobs shows up here, not only in end-to-end metrics.
+struct Completion {
+  int id;
+  double at;
+  bool operator==(const Completion&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Completion& c) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "{%d, %.17g}", c.id, c.at);
+  return os << buf;
+}
+
+TEST(ScriptedArrivalsTest, ProcessorSharingCompletionTimes) {
+  Simulator sim;
+  ProcessorSharing cpu(&sim, /*capacity=*/1.5);
+  std::vector<Completion> done;
+  struct Arrival {
+    double at;
+    double work;
+  };
+  const std::vector<Arrival> script = {
+      {0.0, 1.0}, {0.25, 0.7}, {0.3, 0.05}, {0.3, 0.4},
+      {1.1, 2.0}, {1.1, 0.3}, {1.7, 0.125}};
+  for (size_t i = 0; i < script.size(); ++i) {
+    Spawn([](Simulator* s, ProcessorSharing* c, Arrival a, int id,
+             std::vector<Completion>* out) -> Async<void> {
+      co_await Sleep(s, a.at);
+      co_await c->Consume(a.work);
+      out->push_back({id, s->Now()});
+    }(&sim, &cpu, script[i], static_cast<int>(i), &done));
+  }
+  sim.Run();
+  EXPECT_EQ(done, (std::vector<Completion>{
+                      {2, 0.43333333333333335},
+                      {3, 1.1555555555555557},
+                      {1, 1.8944444444444444},
+                      {5, 1.9500000000000002},
+                      {0, 2.0083333333333333},
+                      {6, 2.0305555555555554},
+                      {4, 3.6847222222222222}}));
+}
+
+TEST(ScriptedArrivalsTest, SharedLinkCompletionTimes) {
+  Simulator sim;
+  SharedLink link(&sim, LinkConfig(90, 300, 100, 90));
+  std::vector<Completion> done;
+  struct Arrival {
+    double at;
+    double mib;
+  };
+  const std::vector<Arrival> script = {
+      {0.0, 40}, {0.0, 250}, {0.1, 5}, {0.2, 60},
+      {0.2, 60}, {0.9, 1},   {2.5, 30}, {2.5, 200}};
+  for (size_t i = 0; i < script.size(); ++i) {
+    Spawn([](Simulator* s, SharedLink* l, Arrival a, int id,
+             std::vector<Completion>* out) -> Async<void> {
+      co_await Sleep(s, a.at);
+      co_await l->Transfer(a.mib * kMiBd);
+      out->push_back({id, s->Now()});
+    }(&sim, &link, script[i], static_cast<int>(i), &done));
+  }
+  sim.Run();
+  EXPECT_EQ(done, (std::vector<Completion>{
+                      {2, 0.15555555555555556},
+                      {0, 0.49333333333333335},
+                      {5, 0.94444444444444442},
+                      {3, 1.6000000000000001},
+                      {4, 1.6000000000000001},
+                      {6, 3.5},
+                      {1, 4.8555555555555561},
+                      {7, 6.0666666666666664}}));
 }
 
 }  // namespace
