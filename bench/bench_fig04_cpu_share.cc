@@ -12,6 +12,11 @@ using sim::Async;
 
 namespace {
 
+/// One thread of number crunching.
+Async<void> Crunch(cloud::WorkerEnv* env, double vcpu_seconds) {
+  co_await env->Compute(vcpu_seconds);
+}
+
 /// Time to complete `work_per_thread` vCPU-seconds on `threads` threads in
 /// a worker of the given size.
 double MeasureCompute(int memory_mib, int threads,
@@ -26,7 +31,7 @@ double MeasureCompute(int memory_mib, int threads,
     double t0 = env.sim()->Now();
     std::vector<Async<void>> tasks;
     for (int i = 0; i < threads; ++i) {
-      tasks.push_back(env.Compute(work_per_thread));
+      tasks.push_back(Crunch(&env, work_per_thread));
     }
     co_await sim::WhenAllVoid(env.sim(), std::move(tasks));
     duration = env.sim()->Now() - t0;

@@ -102,7 +102,7 @@ class WorkerEnv {
 
   /// Runs `vcpu_seconds` of single-threaded computation on this worker's
   /// CPU share (one "thread" of Figure 4).
-  sim::Async<void> Compute(double vcpu_seconds) {
+  sim::ProcessorSharing::ConsumeAwaiter Compute(double vcpu_seconds) {
     return cpu_.Consume(vcpu_seconds);
   }
 

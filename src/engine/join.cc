@@ -1,11 +1,11 @@
 #include "engine/join.h"
 
-#include <limits>
 #include <memory>
 #include <set>
-#include <unordered_map>
+#include <type_traits>
 #include <utility>
 
+#include "engine/head_table.h"
 #include "engine/partition.h"
 #include "exec/parallel_for.h"
 
@@ -13,7 +13,7 @@ namespace lambada::engine {
 
 namespace {
 
-constexpr uint32_t kNoRow = std::numeric_limits<uint32_t>::max();
+constexpr uint32_t kNoRow = HeadTable::kNoRow;
 
 /// Exact key comparison; the hash table chains by hash value only, so
 /// collisions are resolved here.
@@ -45,34 +45,16 @@ Status ValidateKeys(const TableChunk& chunk, const std::vector<int>& keys,
   return Status::OK();
 }
 
-/// One output column under construction: pre-sized storage that morsels
-/// scatter into through their disjoint write windows.
-struct OutputColumn {
-  DataType type;
-  const Column* src;  ///< Borrowed source column (probe or build side).
-  bool from_probe;    ///< Row index comes from the probe (else build) row.
-  std::vector<int64_t> i64;
-  std::vector<double> f64;
-
-  void Resize(size_t n) {
-    if (type == DataType::kInt64) {
-      i64.resize(n);
-    } else {
-      f64.resize(n);
-    }
-  }
-  void Write(size_t pos, size_t src_row) {
-    if (type == DataType::kInt64) {
-      i64[pos] = src->i64()[src_row];
-    } else {
-      f64[pos] = src->f64()[src_row];
-    }
-  }
-  Column Take() {
-    return type == DataType::kInt64 ? Column::Int64(std::move(i64))
-                                    : Column::Float64(std::move(f64));
-  }
-};
+/// Column of `src` values at `rows`, in that order.
+Column Gather(const Column& src, const std::vector<uint32_t>& rows) {
+  auto gather = [&](const auto& values) {
+    std::vector<std::decay_t<decltype(values[0])>> out(rows.size());
+    for (size_t p = 0; p < rows.size(); ++p) out[p] = values[rows[p]];
+    return out;
+  };
+  return src.type() == DataType::kInt64 ? Column::Int64(gather(src.i64()))
+                                        : Column::Float64(gather(src.f64()));
+}
 
 }  // namespace
 
@@ -101,19 +83,13 @@ Result<TableChunk> HashJoin(const TableChunk& probe,
   // minus the build keys — key values are equal across sides by
   // definition, so repeating them would only create name collisions.
   std::vector<Field> out_fields = probe.schema()->fields();
-  std::vector<OutputColumn> out;
-  out.reserve(probe.num_columns() + build.num_columns());
-  for (size_t c = 0; c < probe.num_columns(); ++c) {
-    out.push_back(OutputColumn{probe.column(c).type(), &probe.column(c),
-                               /*from_probe=*/true, {}, {}});
-  }
+  std::vector<const Column*> build_out;  // Borrowed build-side columns.
   if (type == JoinType::kInner) {
     std::set<int> key_set(build_keys.begin(), build_keys.end());
     for (size_t c = 0; c < build.num_columns(); ++c) {
       if (key_set.count(static_cast<int>(c))) continue;
       out_fields.push_back(build.schema()->field(c));
-      out.push_back(OutputColumn{build.column(c).type(), &build.column(c),
-                                 /*from_probe=*/false, {}, {}});
+      build_out.push_back(&build.column(c));
     }
   }
   {
@@ -132,25 +108,22 @@ Result<TableChunk> HashJoin(const TableChunk& probe,
   const size_t n_build = build.num_rows();
   const size_t n_probe = probe.num_rows();
   if (n_build > kNoRow - 1) return Status::Invalid("build side too large");
+  if (n_probe > kNoRow) return Status::Invalid("probe side too large");
   std::vector<uint32_t> next(n_build, kNoRow);
-  std::unordered_map<uint64_t, uint32_t> head;
-  head.reserve(n_build * 2);
+  HeadTable heads(n_build);
   for (size_t r = n_build; r-- > 0;) {
-    uint64_t h = HashRow(build, build_keys, r);
-    auto [it, inserted] = head.try_emplace(h, static_cast<uint32_t>(r));
-    if (!inserted) {
-      next[r] = it->second;
-      it->second = static_cast<uint32_t>(r);
-    }
+    uint32_t& head = heads.Head(HashRow(build, build_keys, r));
+    next[r] = head;
+    head = static_cast<uint32_t>(r);
   }
 
-  // Walks probe row i's matches in build-row order; returns how many were
-  // visited (semi joins stop at the first).
-  auto for_each_match = [&](size_t i, auto&& emit) -> uint64_t {
-    auto it = head.find(HashRow(probe, probe_keys, i));
-    if (it == head.end()) return 0;
+  // Walks probe row i's matches in build-row order along the chain that
+  // starts at build row `first`; returns how many were visited (semi joins
+  // stop at the first).
+  auto for_each_match = [&](size_t i, uint32_t first,
+                            auto&& emit) -> uint64_t {
     uint64_t found = 0;
-    for (uint32_t r = it->second; r != kNoRow; r = next[r]) {
+    for (uint32_t r = first; r != kNoRow; r = next[r]) {
       if (!KeysEqual(probe, probe_keys, i, build, build_keys, r)) continue;
       emit(r);
       ++found;
@@ -159,13 +132,18 @@ Result<TableChunk> HashJoin(const TableChunk& probe,
     return found;
   };
 
-  // Pass 1: per-morsel match counts fix each morsel's write window, making
-  // pass 2 scatter deterministically for any thread count.
+  // Pass 1: look up each probe row's chain, and count matches per morsel
+  // to fix each morsel's write window, making pass 2 scatter
+  // deterministically for any thread count.
   const size_t num_morsels = exec::NumMorsels(ctx, n_probe);
   std::vector<uint64_t> counts(num_morsels, 0);
+  std::vector<uint32_t> chain(n_probe);
   exec::ParallelFor(ctx, 0, n_probe, [&](size_t m, size_t b, size_t e) {
     uint64_t c = 0;
-    for (size_t i = b; i < e; ++i) c += for_each_match(i, [](uint32_t) {});
+    for (size_t i = b; i < e; ++i) {
+      chain[i] = heads.Find(HashRow(probe, probe_keys, i));
+      c += for_each_match(i, chain[i], [](uint32_t) {});
+    }
     counts[m] = c;
   });
   std::vector<uint64_t> offsets(num_morsels + 1, 0);
@@ -173,24 +151,31 @@ Result<TableChunk> HashJoin(const TableChunk& probe,
     offsets[m + 1] = offsets[m] + counts[m];
   }
   const size_t total = static_cast<size_t>(offsets[num_morsels]);
-  for (auto& col : out) col.Resize(total);
 
-  // Pass 2: re-walk and materialize into the precomputed windows.
+  // Pass 2: re-walk and record each output row's source rows in the
+  // precomputed windows.
+  std::vector<uint32_t> probe_rows(total);
+  std::vector<uint32_t> build_rows(build_out.empty() ? 0 : total);
   exec::ParallelFor(ctx, 0, n_probe, [&](size_t m, size_t b, size_t e) {
     size_t pos = static_cast<size_t>(offsets[m]);
     for (size_t i = b; i < e; ++i) {
-      for_each_match(i, [&](uint32_t r) {
-        for (auto& col : out) {
-          col.Write(pos, col.from_probe ? i : static_cast<size_t>(r));
-        }
+      for_each_match(i, chain[i], [&](uint32_t r) {
+        probe_rows[pos] = static_cast<uint32_t>(i);
+        if (!build_rows.empty()) build_rows[pos] = r;
         ++pos;
       });
     }
   });
 
-  std::vector<Column> columns;
-  columns.reserve(out.size());
-  for (auto& col : out) columns.push_back(col.Take());
+  // Pass 3: materialize column by column.
+  const size_t n_probe_cols = probe.num_columns();
+  std::vector<Column> columns(n_probe_cols + build_out.size(),
+                              Column(DataType::kInt64));
+  exec::ParallelForEach(ctx, columns.size(), [&](size_t c) {
+    columns[c] = c < n_probe_cols
+                     ? Gather(probe.column(c), probe_rows)
+                     : Gather(*build_out[c - n_probe_cols], build_rows);
+  });
   return TableChunk(std::make_shared<Schema>(std::move(out_fields)),
                     std::move(columns));
 }

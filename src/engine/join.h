@@ -40,9 +40,10 @@ std::string_view JoinTypeName(JoinType type);
 /// Determinism contract (mirrors exec/parallel_for.h): output rows appear
 /// in probe-row order, and the matches of one probe row in build-row
 /// order. The probe phase is morsel-parallel — a counting pass fixes each
-/// morsel's write window, then rows scatter into preallocated columns —
-/// so the result is byte-identical for every thread count, including the
-/// serial default.
+/// morsel's write window, then each output row's source rows scatter into
+/// preallocated index arrays, which the columns gather from — so the
+/// result is byte-identical for every thread count, including the serial
+/// default.
 Result<TableChunk> HashJoin(const TableChunk& probe,
                             const std::vector<int>& probe_keys,
                             const TableChunk& build,

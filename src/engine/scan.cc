@@ -91,7 +91,7 @@ sim::Async<Result<ScanStats>> S3ParquetScan(
   auto reader_options_for = [env_ptr, sim, &options](const FileState& st) {
     format::ReaderOptions ro;
     ro.sim = sim;
-    ro.cpu.compute = [env_ptr](double vcpu) { return env_ptr->Compute(vcpu); };
+    ro.cpu.cpu = &env_ptr->cpu();
     ro.cpu.scale = st.scale;
     // The coalescing budget is a transfer-time-vs-request-latency
     // breakeven in MODELED bytes. A virtually-scaled object transfers

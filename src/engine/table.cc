@@ -1,5 +1,7 @@
 #include "engine/table.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <sstream>
 
 namespace lambada::engine {
@@ -52,22 +54,34 @@ std::string Schema::ToString() const {
 }
 
 Column Column::Filter(const std::vector<bool>& keep) const {
+  return Filter(keep,
+                static_cast<size_t>(std::count(keep.begin(), keep.end(), true)));
+}
+
+Column Column::Filter(const std::vector<bool>& keep, size_t kept) const {
   LAMBADA_CHECK_EQ(keep.size(), size());
   Column out(type_);
+  auto filter = [&](const auto& src, auto& dst) {
+    dst.reserve(kept);
+    for (size_t i = 0; i < src.size(); ++i) {
+      if (keep[i]) dst.push_back(src[i]);
+    }
+  };
   if (type_ == DataType::kInt64) {
-    const auto& src = i64();
-    auto& dst = out.mutable_i64();
-    for (size_t i = 0; i < src.size(); ++i) {
-      if (keep[i]) dst.push_back(src[i]);
-    }
+    filter(i64(), out.mutable_i64());
   } else {
-    const auto& src = f64();
-    auto& dst = out.mutable_f64();
-    for (size_t i = 0; i < src.size(); ++i) {
-      if (keep[i]) dst.push_back(src[i]);
-    }
+    filter(f64(), out.mutable_f64());
   }
   return out;
+}
+
+Column Column::Slice(size_t begin, size_t end) const {
+  LAMBADA_CHECK(begin <= end && end <= size());
+  auto b = static_cast<ptrdiff_t>(begin), e = static_cast<ptrdiff_t>(end);
+  if (type_ == DataType::kInt64) {
+    return Int64(std::vector<int64_t>(i64().begin() + b, i64().begin() + e));
+  }
+  return Float64(std::vector<double>(f64().begin() + b, f64().begin() + e));
 }
 
 TableChunk::TableChunk(SchemaPtr schema, std::vector<Column> columns)
@@ -103,10 +117,21 @@ Result<TableChunk> TableChunk::Project(const std::vector<int>& indices) const {
 }
 
 TableChunk TableChunk::Filter(const std::vector<bool>& keep) const {
+  const size_t kept =
+      static_cast<size_t>(std::count(keep.begin(), keep.end(), true));
   std::vector<Column> cols;
   cols.reserve(columns_.size());
   for (const auto& c : columns_) {
-    cols.push_back(c.Filter(keep));
+    cols.push_back(c.Filter(keep, kept));
+  }
+  return TableChunk(schema_, std::move(cols));
+}
+
+TableChunk TableChunk::Slice(size_t begin, size_t end) const {
+  std::vector<Column> cols;
+  cols.reserve(columns_.size());
+  for (const auto& c : columns_) {
+    cols.push_back(c.Slice(begin, end));
   }
   return TableChunk(schema_, std::move(cols));
 }

@@ -118,6 +118,12 @@ class Column {
 
   /// New column containing the rows where `keep` is true.
   Column Filter(const std::vector<bool>& keep) const;
+  /// Same, where `kept` is the number of true entries in `keep` (counted
+  /// once by a caller filtering many columns).
+  Column Filter(const std::vector<bool>& keep, size_t kept) const;
+
+  /// New column containing rows [begin, end).
+  Column Slice(size_t begin, size_t end) const;
 
   /// Heap bytes held by this column.
   int64_t memory_bytes() const {
@@ -152,6 +158,9 @@ class TableChunk {
 
   /// Chunk containing rows where `keep` is true.
   TableChunk Filter(const std::vector<bool>& keep) const;
+
+  /// Chunk containing rows [begin, end) (copies).
+  TableChunk Slice(size_t begin, size_t end) const;
 
   /// Appends all rows of `other` (schemas must match).
   Status Append(const TableChunk& other);

@@ -1,7 +1,6 @@
 #ifndef LAMBADA_FORMAT_READER_H_
 #define LAMBADA_FORMAT_READER_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -13,26 +12,21 @@
 #include "format/source.h"
 #include "obs/trace.h"
 #include "sim/async.h"
+#include "sim/resources.h"
 
 namespace lambada::format {
 
 /// Bridge from real work done by the reader (decompressing, decoding) to
-/// the simulated worker CPU. `compute` charges vCPU-seconds of virtual
-/// time; `scale` inflates the work for virtually-scaled datasets.
-/// Host-side tools leave `compute` unset.
+/// the simulated worker CPU. `cpu` is the worker's CPU, charged
+/// vCPU-seconds of virtual time; `scale` inflates the work for
+/// virtually-scaled datasets. Host-side tools leave `cpu` null.
 struct ComputeHook {
-  std::function<sim::Async<void>(double vcpu_seconds)> compute;
+  sim::ProcessorSharing* cpu = nullptr;
   double scale = 1.0;
 
-  sim::Async<void> Charge(double vcpu_seconds) const {
-    if (compute && vcpu_seconds > 0) {
-      return compute(vcpu_seconds * scale);
-    }
-    return Noop();
+  sim::ProcessorSharing::ConsumeAwaiter Charge(double vcpu_seconds) const {
+    return {cpu, vcpu_seconds > 0 ? vcpu_seconds * scale : 0.0};
   }
-
- private:
-  static sim::Async<void> Noop() { co_return; }
 };
 
 struct ReaderOptions {

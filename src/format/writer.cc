@@ -37,14 +37,8 @@ Status FileWriter::FlushRowGroup() {
       pending_.num_rows(), static_cast<size_t>(options_.row_group_rows));
   if (take == 0) return Status::OK();
   // Split pending rows into [0, take) and the remainder.
-  std::vector<bool> head(pending_.num_rows(), false);
-  std::vector<bool> tail(pending_.num_rows(), false);
-  for (size_t i = 0; i < pending_.num_rows(); ++i) {
-    (i < take ? head : tail)[i] = true;
-  }
-  TableChunk group = pending_.Filter(head);
-  TableChunk rest = pending_.Filter(tail);
-  pending_ = std::move(rest);
+  TableChunk group = pending_.Slice(0, take);
+  pending_ = pending_.Slice(take, pending_.num_rows());
 
   RowGroupMeta rg;
   rg.num_rows = group.num_rows();

@@ -163,7 +163,7 @@ struct SleepAwaiter {
   Time dt;
   bool await_ready() const noexcept { return dt <= 0; }
   void await_suspend(std::coroutine_handle<> h) const {
-    sim->ScheduleAfter(dt, [h] { h.resume(); });
+    sim->ResumeAfter(dt, h);
   }
   void await_resume() const noexcept {}
 };
@@ -180,11 +180,10 @@ class Event {
 
   void Set() {
     set_ = true;
-    auto waiters = std::move(waiters_);
+    // Scheduling runs nothing, so the list can be walked in place (and
+    // keeps its capacity for the next round of waiters).
+    for (auto h : waiters_) sim_->ResumeAfter(0, h);
     waiters_.clear();
-    for (auto h : waiters) {
-      sim_->ScheduleAfter(0, [h] { h.resume(); });
-    }
   }
 
   void Reset() { set_ = false; }
@@ -296,7 +295,7 @@ class Semaphore {
     if (!waiters_.empty()) {
       auto h = waiters_.front();
       waiters_.erase(waiters_.begin());
-      sim_->ScheduleAfter(0, [h] { h.resume(); });
+      sim_->ResumeAfter(0, h);
     } else {
       ++count_;
     }

@@ -13,6 +13,22 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // not advance virtual time at all, re-firing the same event forever; any
 // work that would finish within this quantum is completed immediately.
 constexpr double kMinTick = 1e-9;
+
+/// Wakes (in queue order) and drops the jobs with at most `quantum` work
+/// left, keeping the others in arrival order. Each wakeup is scheduled at
+/// Now(), not run inline, as Event::Set does.
+void CompleteJobs(Simulator* sim, std::vector<ResourceJob*>* jobs,
+                  double quantum) {
+  size_t kept = 0;
+  for (ResourceJob* job : *jobs) {
+    if (job->remaining <= quantum) {
+      sim->ResumeAfter(0, job->waiter);
+    } else {
+      (*jobs)[kept++] = job;
+    }
+  }
+  jobs->resize(kept);
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -57,8 +73,7 @@ void ProcessorSharing::Reschedule() {
     min_remaining = std::min(min_remaining, job->remaining);
   }
   double dt = std::max(kMinTick, min_remaining / rate);
-  uint64_t epoch = epoch_;
-  sim_->ScheduleAfter(dt, [this, epoch] { OnTimer(epoch); });
+  sim_->ScheduleAfter(dt, &ProcessorSharing::TimerFired, this, epoch_);
 }
 
 void ProcessorSharing::OnTimer(uint64_t epoch) {
@@ -66,25 +81,14 @@ void ProcessorSharing::OnTimer(uint64_t epoch) {
   Advance();
   // Complete anything that would finish within one minimal tick; leaving
   // it active would schedule a sub-ULP delta and freeze virtual time.
-  double quantum = CurrentRatePerJob() * kMinTick + kEps;
-  for (auto it = jobs_.begin(); it != jobs_.end();) {
-    if ((*it)->remaining <= quantum) {
-      (*it)->done.Set();
-      it = jobs_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  CompleteJobs(sim_, &jobs_, CurrentRatePerJob() * kMinTick + kEps);
   Reschedule();
 }
 
-Async<void> ProcessorSharing::Consume(double work) {
-  if (work <= 0) co_return;
+void ProcessorSharing::Enqueue(ResourceJob* job) {
   Advance();
-  auto job = std::make_shared<Job>(sim_, work);
   jobs_.push_back(job);
   Reschedule();
-  co_await job->done.Wait();
 }
 
 // ---------------------------------------------------------------------------
@@ -145,8 +149,7 @@ void SharedLink::Reschedule() {
       (credits_ > kEps && drain > kEps) ? credits_ / drain : kInf;
   double dt = std::max(kMinTick, std::min(dt_complete, dt_credits));
   LAMBADA_CHECK(dt != kInf) << "link stalled with active transfers";
-  uint64_t epoch = epoch_;
-  sim_->ScheduleAfter(dt, [this, epoch] { OnTimer(epoch); });
+  sim_->ScheduleAfter(dt, &SharedLink::TimerFired, this, epoch_);
 }
 
 void SharedLink::OnTimer(uint64_t epoch) {
@@ -156,24 +159,18 @@ void SharedLink::OnTimer(uint64_t epoch) {
   if (!jobs_.empty()) {
     quantum += Throughput() / static_cast<double>(jobs_.size()) * kMinTick;
   }
-  for (auto it = jobs_.begin(); it != jobs_.end();) {
-    if ((*it)->remaining <= quantum) {
-      (*it)->done.Set();
-      it = jobs_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  CompleteJobs(sim_, &jobs_, quantum);
+  Reschedule();
+}
+
+void SharedLink::Enqueue(ResourceJob* job) {
+  Advance();
+  jobs_.push_back(job);
   Reschedule();
 }
 
 Async<void> SharedLink::Transfer(double bytes) {
-  if (bytes <= 0) co_return;
-  Advance();
-  auto job = std::make_shared<Job>(sim_, bytes);
-  jobs_.push_back(job);
-  Reschedule();
-  co_await job->done.Wait();
+  co_await JobAwaiter<SharedLink>(this, bytes);
 }
 
 }  // namespace lambada::sim

@@ -3,8 +3,7 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <list>
-#include <memory>
+#include <vector>
 
 #include "sim/async.h"
 #include "sim/simulator.h"
@@ -53,6 +52,40 @@ class TokenBucket {
   Time last_ = 0;
 };
 
+/// One job of a shared resource: its outstanding work and the coroutine
+/// waiting for it to finish. It lives inside a JobAwaiter in the awaiting
+/// coroutine's frame, so queuing work on a resource allocates nothing.
+struct ResourceJob {
+  double remaining = 0;
+  std::coroutine_handle<> waiter;
+};
+
+/// Awaiter that queues `work` units on `resource` and resumes the awaiting
+/// coroutine once they have been served. Completes at once when `work` is
+/// not positive or `resource` is null.
+template <typename Resource>
+class [[nodiscard]] JobAwaiter {
+ public:
+  JobAwaiter(Resource* resource, double work)
+      : resource_(resource), job_{work, {}} {}
+
+  bool await_ready() const noexcept {
+    return resource_ == nullptr || job_.remaining <= 0;
+  }
+  void await_suspend(std::coroutine_handle<> h) {
+    // The job's address is taken only here, once the awaiter sits at its
+    // final place in the frame: a prvalue awaiter may be copied bitwise
+    // into the frame after construction.
+    job_.waiter = h;
+    resource_->Enqueue(&job_);
+  }
+  void await_resume() const noexcept {}
+
+ private:
+  Resource* resource_;
+  ResourceJob job_;
+};
+
 /// Processor-sharing resource modeling the fractional CPU allocation of a
 /// serverless function (Section 4.1 / Figure 4 of the paper).
 ///
@@ -67,8 +100,10 @@ class ProcessorSharing {
   ProcessorSharing(const ProcessorSharing&) = delete;
   ProcessorSharing& operator=(const ProcessorSharing&) = delete;
 
+  using ConsumeAwaiter = JobAwaiter<ProcessorSharing>;
+
   /// Suspends until `work` vCPU-seconds of service have been delivered.
-  Async<void> Consume(double work);
+  ConsumeAwaiter Consume(double work) { return {this, work}; }
 
   double capacity() const { return capacity_; }
   int active_jobs() const { return static_cast<int>(jobs_.size()); }
@@ -76,12 +111,13 @@ class ProcessorSharing {
   double CurrentRatePerJob() const;
 
  private:
-  struct Job {
-    double remaining;  // vCPU-seconds outstanding.
-    Event done;
-    explicit Job(Simulator* sim, double w) : remaining(w), done(sim) {}
-  };
+  friend class JobAwaiter<ProcessorSharing>;
 
+  static void TimerFired(void* self, uint64_t epoch) {
+    static_cast<ProcessorSharing*>(self)->OnTimer(epoch);
+  }
+
+  void Enqueue(ResourceJob* job);  // `remaining` in vCPU-seconds.
   void Advance();     // Applies service since last event time.
   void Reschedule();  // Schedules the next completion event.
   void OnTimer(uint64_t epoch);
@@ -89,7 +125,7 @@ class ProcessorSharing {
   Simulator* sim_;
   double capacity_;
   double per_job_cap_;
-  std::list<std::shared_ptr<Job>> jobs_;
+  std::vector<ResourceJob*> jobs_;  // In arrival order.
   Time last_update_ = 0;
   uint64_t epoch_ = 0;  // Invalidates stale timer events.
 };
@@ -120,12 +156,13 @@ class SharedLink {
   double credits() const { return credits_; }
 
  private:
-  struct Job {
-    double remaining;
-    Event done;
-    explicit Job(Simulator* sim, double b) : remaining(b), done(sim) {}
-  };
+  friend class JobAwaiter<SharedLink>;
 
+  static void TimerFired(void* self, uint64_t epoch) {
+    static_cast<SharedLink*>(self)->OnTimer(epoch);
+  }
+
+  void Enqueue(ResourceJob* job);  // `remaining` in bytes.
   /// Aggregate throughput (bytes/s) for the current state.
   double Throughput() const;
   void Advance();
@@ -134,7 +171,7 @@ class SharedLink {
 
   Simulator* sim_;
   Config config_;
-  std::list<std::shared_ptr<Job>> jobs_;
+  std::vector<ResourceJob*> jobs_;  // In arrival order.
   double credits_;
   Time last_update_ = 0;
   uint64_t epoch_ = 0;

@@ -9,6 +9,7 @@
 #include "engine/aggregate.h"
 #include "engine/chunk_serde.h"
 #include "engine/expr.h"
+#include "engine/head_table.h"
 #include "engine/join.h"
 #include "engine/partition.h"
 #include "engine/scan.h"
@@ -486,12 +487,14 @@ TableChunk NestedLoopJoin(const TableChunk& probe,
 }
 
 TEST(HashJoinTest, CollidingAndDuplicateKeysMatchNestedLoop) {
-  // Two-column keys (a, b). Pairs with b = HashRow(a) ^ kPin all hash to
-  // the same 64-bit value (the row hash folds the second column into the
-  // mix of the first), so they share one table entry and only the exact
-  // key comparison tells them apart. The other keys are dense and
-  // duplicated, and the build side is large enough that the table runs
-  // near half full, so probe runs wrap past the end of the slot array.
+  // Two-column keys (a, b), three kinds:
+  //  - colliding: pairs with b = HashRow(a) ^ kPin all have the same 64-bit
+  //    row hash (the second column is folded into the mix of the first),
+  //    so they share one chain and only the exact key comparison tells
+  //    them apart;
+  //  - wrapping: keys whose probes start in the last four slots of the
+  //    head table, so their run spills past the end of the slot array;
+  //  - dense: many duplicates.
   constexpr uint64_t kPin = 0x5eed5eed5eed5eedULL;
   auto pinned_b = [&](int64_t a) {
     TableChunk one(std::make_shared<Schema>(
@@ -499,30 +502,59 @@ TEST(HashJoinTest, CollidingAndDuplicateKeysMatchNestedLoop) {
                    {Column::Int64({a})});
     return static_cast<int64_t>(HashRow(one, {0}, 0) ^ kPin);
   };
-  Rng rng(23);
   const size_t n_build = 9000, n_probe = 12000;
+  std::vector<int64_t> wrapping;  // 48 in the build side, 16 probe-only.
+  {
+    const HeadTable layout(n_build);
+    const int64_t candidates = 1 << 20;
+    std::vector<int64_t> a(candidates), b(candidates);
+    for (int64_t k = 0; k < candidates; ++k) {
+      a[k] = 100000 + k;
+      b[k] = a[k] % 5;
+    }
+    TableChunk keys(std::make_shared<Schema>(std::vector<Field>{
+                        {"a", DataType::kInt64}, {"b", DataType::kInt64}}),
+                    {Column::Int64(std::move(a)), Column::Int64(std::move(b))});
+    for (size_t r = 0; r < keys.num_rows() && wrapping.size() < 64; ++r) {
+      if (layout.HomeSlot(HashRow(keys, {0, 1}, r)) + 4 >= layout.capacity()) {
+        wrapping.push_back(keys.column(0).i64()[r]);
+      }
+    }
+    ASSERT_EQ(wrapping.size(), 64u);
+  }
+  Rng rng(23);
   std::vector<int64_t> ba(n_build), bb(n_build);
   std::vector<double> bv(n_build);
   for (size_t r = 0; r < n_build; ++r) {
-    if (r % 9 == 0) {
-      ba[r] = rng.UniformInt(0, 60);  // Colliding keys, some repeated.
-      bb[r] = pinned_b(ba[r]);
-    } else {
-      ba[r] = rng.UniformInt(0, 6000);  // Dense keys with duplicates.
-      bb[r] = ba[r] % 5;
+    switch (r % 9) {
+      case 0:  // Colliding keys, some repeated.
+        ba[r] = rng.UniformInt(0, 60);
+        bb[r] = pinned_b(ba[r]);
+        break;
+      case 1:  // Wrapping keys, each about 20 times.
+        ba[r] = wrapping[static_cast<size_t>(rng.UniformInt(0, 47))];
+        bb[r] = ba[r] % 5;
+        break;
+      default:  // Dense keys with duplicates.
+        ba[r] = rng.UniformInt(0, 6000);
+        bb[r] = ba[r] % 5;
     }
     bv[r] = static_cast<double>(r);
   }
   std::vector<int64_t> pa(n_probe), pb(n_probe), pv(n_probe);
   for (size_t i = 0; i < n_probe; ++i) {
-    switch (i % 4) {
+    switch (i % 5) {
       case 0:  // Colliding key; a > 60 shares the hash but never matches.
         pa[i] = rng.UniformInt(0, 90);
         pb[i] = pinned_b(pa[i]);
         break;
-      case 1:  // Right a, wrong b: a miss on a populated neighbourhood.
+      case 1:  // Right a, wrong b.
         pa[i] = rng.UniformInt(0, 6000);
         pb[i] = pa[i] % 5 + 1;
+        break;
+      case 2:  // Wrapping key; the last 16 are not in the build side.
+        pa[i] = wrapping[static_cast<size_t>(rng.UniformInt(0, 63))];
+        pb[i] = pa[i] % 5;
         break;
       default:
         pa[i] = rng.UniformInt(0, 7000);
